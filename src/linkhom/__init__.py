@@ -24,7 +24,7 @@ from .diagrams import (
     segment,
     tripod,
 )
-from .errors import BudgetError, DiagramError, ParseError, VerificationError
+from .errors import BudgetError, DiagramError, ParseError, UsageError, VerificationError
 from .gauss import (
     GaussLink,
     gauss_text,

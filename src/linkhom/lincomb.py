@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ParseError
+
 
 class LinComb:
     """Immutable map from canonical keys to nonzero Fractions."""
@@ -103,3 +105,15 @@ def terms_doc(lc: LinComb) -> list:
 
 def lincomb_from_doc(doc) -> LinComb:
     return LinComb({bytes.fromhex(t["key"]): Fraction(t["coeff"]) for t in doc})
+
+
+def doc_field(doc, name, parse):
+    """parse(doc[name]); any failure is a ParseError that names the field."""
+    if not isinstance(doc, dict):
+        raise ParseError("document is not a JSON object")
+    if name not in doc:
+        raise ParseError(f"missing field {name!r}")
+    try:
+        return parse(doc[name])
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ParseError(f"field {name!r}: {type(exc).__name__}: {exc}") from None

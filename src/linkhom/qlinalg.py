@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lincomb import LinComb
+from .lincomb import LinComb, doc_field, lincomb_from_doc, terms_doc
 
 
 @dataclass(frozen=True)
@@ -29,21 +29,16 @@ class MembershipCertificate:
 
 
 class SparseRationalMatrix:
-    """Relator rows over a fixed basis, with lazy tracked elimination.
+    """Relator rows over a fixed basis: rank and in_span never build relator
+    combinations, and membership always does."""
 
-    track_combinations=False drops the certificate bookkeeping; membership
-    residuals stay exact but the combination comes back empty.  Worth it for
-    big span checks where only the yes/no answer is consumed.
-    """
-
-    def __init__(self, columns, track_combinations=True):
+    def __init__(self, columns):
         self.columns = tuple(columns)
         self._col_index = {key: i for i, key in enumerate(self.columns)}
         if len(self._col_index) != len(self.columns):
             raise ValueError("duplicate basis keys")
-        self.track_combinations = track_combinations
         self.rows = []          # (rid, {col: Fraction})
-        self._pivots = None     # col -> (rowvec, combo {rid: Fraction})
+        self._pivots = None     # col -> (rowvec, expr {rid: Fraction})
 
     def _to_cols(self, element: LinComb) -> dict:
         out = {}
@@ -107,28 +102,26 @@ class SparseRationalMatrix:
         if self._pivots is not None:
             return self._pivots
         pivots = {}
-        track = self.track_combinations
         for rid, row in self.rows:
-            start = {} if track else None
-            vec, combo = self._reduce(dict(row), start, pivots)
+            vec, _ = self._reduce(dict(row), None, pivots)
             if not vec:
                 continue
+            # only a surviving row needs its expression in the relators; the
+            # tracked replay sees the same pivots, so vec comes out the same
+            vec, combo = self._reduce(dict(row), {}, pivots)
             lead = min(vec)
             assert lead not in pivots, "reduced row must lead a fresh column"
             scale = Fraction(1) / vec[lead]
             vec = {c: x * scale for c, x in vec.items()}
-            if track:
-                # reduction left vec = row - sum(combo * relators), so the
-                # stored expression of vec in the relators negates combo
-                expr = {rid: scale}
-                for r, x in combo.items():
-                    s = expr.get(r, 0) - x * scale
-                    if s:
-                        expr[r] = s
-                    else:
-                        expr.pop(r, None)
-            else:
-                expr = {}
+            # reduction left vec = row - sum(combo * relators), so the stored
+            # expression of vec in the relators negates combo
+            expr = {rid: scale}
+            for r, x in combo.items():
+                s = expr.get(r, 0) - x * scale
+                if s:
+                    expr[r] = s
+                else:
+                    expr.pop(r, None)
             pivots[lead] = (vec, expr)
         self._pivots = pivots
         return pivots
@@ -136,21 +129,19 @@ class SparseRationalMatrix:
     def rank(self) -> int:
         return len(self._eliminate())
 
+    def in_span(self, target: LinComb) -> bool:
+        """Whether target lies in the row span, without a certificate."""
+        vec, _ = self._reduce(self._to_cols(target), None, self._eliminate())
+        return not vec
+
     def membership(self, target: LinComb) -> MembershipCertificate:
         """Reduce target against the row span; zero residual means member.
 
         The certificate satisfies sum(coeff * relator) = target - residual.
         """
-        pivots = self._eliminate()
-        start = {} if self.track_combinations else None
-        vec, combo = self._reduce(self._to_cols(target), start, pivots)
+        vec, combo = self._reduce(self._to_cols(target), {}, self._eliminate())
         residual = LinComb({self.columns[c]: x for c, x in vec.items()})
-        combination = tuple(sorted(combo.items())) if combo is not None else ()
-        return MembershipCertificate(target, combination, residual)
-
-
-def quotient_dim(basis_size: int, matrix: SparseRationalMatrix) -> int:
-    return basis_size - matrix.rank()
+        return MembershipCertificate(target, tuple(sorted(combo.items())), residual)
 
 
 def relator_matrix(basis_keys, relators) -> SparseRationalMatrix:
@@ -169,8 +160,6 @@ def verify_certificate(cert: MembershipCertificate, relators_by_id) -> bool:
 
 
 def certificate_doc(cert: MembershipCertificate) -> dict:
-    from .lincomb import terms_doc
-
     return {
         "target": terms_doc(cert.target),
         "combination": [{"relator": rid, "coeff": str(c)} for rid, c in cert.combination],
@@ -178,11 +167,18 @@ def certificate_doc(cert: MembershipCertificate) -> dict:
     }
 
 
-def certificate_from_doc(doc) -> MembershipCertificate:
-    from .lincomb import lincomb_from_doc
+def _combination_from_doc(terms) -> tuple:
+    out = []
+    for t in terms:
+        if not isinstance(t["relator"], str):
+            raise TypeError(f"relator id {t['relator']!r} is not a string")
+        out.append((t["relator"], Fraction(t["coeff"])))
+    return tuple(out)
 
+
+def certificate_from_doc(doc) -> MembershipCertificate:
     return MembershipCertificate(
-        lincomb_from_doc(doc["target"]),
-        tuple((t["relator"], Fraction(t["coeff"])) for t in doc["combination"]),
-        lincomb_from_doc(doc["residual"]),
+        doc_field(doc, "target", lincomb_from_doc),
+        doc_field(doc, "combination", _combination_from_doc),
+        doc_field(doc, "residual", lincomb_from_doc),
     )

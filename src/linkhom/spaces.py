@@ -19,9 +19,9 @@ from . import chords as ch
 from . import relators as rel
 from .bases import enum_forests
 from .diagrams import Diagram, canonical_diagram, is_boring
-from .errors import BudgetError, DiagramError, VerificationError
+from .errors import BudgetError, DiagramError, UsageError, VerificationError
 from .lincomb import LinComb
-from .qlinalg import MembershipCertificate, quotient_dim, relator_matrix
+from .qlinalg import MembershipCertificate, relator_matrix, verify_certificate
 
 SPACES = ("bhsl", "bhl", "ahsl", "ahl", "chord")
 
@@ -30,7 +30,12 @@ DEFAULT_MAX_CHORD_DEGREE = 5
 
 
 def check_budget(space: str, k, d: int, budget=None) -> None:
-    """Raise BudgetError when the request exceeds the configured bounds."""
+    """Raise UsageError for k < 1 (outside chord) or d < 0, and BudgetError
+    when the request exceeds the configured bounds."""
+    if space != "chord" and (k is None or k < 1):
+        raise UsageError(f"space {space} needs k >= 1")
+    if d < 0:
+        raise UsageError(f"degree {d} is negative")
     if space == "chord":
         limit = budget[1] if budget else DEFAULT_MAX_CHORD_DEGREE
         if d > limit:
@@ -108,14 +113,12 @@ def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
     """Basis size, relator rank, and quotient dimension of one graded piece."""
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
-    if space != "chord" and (k is None or k < 1):
-        raise ValueError("this space needs k >= 1")
     check_budget(space, k, d, budget)
     t0 = time.perf_counter()
     basis = space_basis(space, k, d)
     keys = _basis_keys(space, basis)
     groups = _relators_for(space, k, d, basis)
-    matrix = relator_matrix(keys, [r for rs in groups.values() for rs in [rs] for r in rs])
+    matrix = relator_matrix(keys, [r for rs in groups.values() for r in rs])
     report = SpaceReport(
         space=space,
         k=None if space == "chord" else k,
@@ -144,11 +147,15 @@ def polynomial_dimension(k: int, d: int) -> int:
 def relation_matrix_bhl(k: int, d: int):
     """The (star + ihx) relator matrix over the degree-d forest basis, with
     the relators indexed by id for certificate replay."""
-    basis = enum_forests(k, d)
-    keys = [sk.key for sk in basis]
-    relators = rel.ihx_relators(basis) + rel.star_relators(basis)
-    matrix = relator_matrix(keys, relators)
+    basis = space_basis("bhl", k, d)
+    relators = [r for rs in _relators_for("bhl", k, d, basis).values() for r in rs]
+    matrix = relator_matrix(_basis_keys("bhl", basis), relators)
     return matrix, {r.rid: r.element for r in relators}, basis
+
+
+def is_compound(D: Diagram) -> bool:
+    """True when some component has degree >= 2, i.e. is not a segment."""
+    return D.n > 0 and max(len(c) for c in D.components()) >= 4
 
 
 def verify_main_theorem(k: int, max_degree: int, budget=None) -> list:
@@ -161,8 +168,8 @@ def verify_main_theorem(k: int, max_degree: int, budget=None) -> list:
         matrix, _, basis = relation_matrix_bhl(k, d)
         for sk in basis:
             D = canonical_diagram(sk.key)
-            if max(len(c) for c in D.components()) < 4:
-                continue        # all components are segments
+            if not is_compound(D):
+                continue
             cert = matrix.membership(LinComb.term(sk.key))
             if not cert.is_member:
                 raise VerificationError(
@@ -171,6 +178,31 @@ def verify_main_theorem(k: int, max_degree: int, budget=None) -> list:
                 )
             certs.append(cert)
     return certs
+
+
+def check_main_certificate(cert: MembershipCertificate, k: int, d: int) -> None:
+    """Re-check one certificate of verify_main_theorem against its claim.
+
+    The target must be a single compound basis forest of degree d with
+    coefficient 1, the combination must name relators of that degree and
+    re-sum to the target, and the residual must be zero.  Raises
+    VerificationError otherwise.
+    """
+    _, by_id, basis = relation_matrix_bhl(k, d)
+    keys = {sk.key for sk in basis}
+    terms = cert.target.items()
+    if len(terms) != 1 or terms[0][0] not in keys or terms[0][1] != 1:
+        raise VerificationError(
+            f"target is not one basis forest of bhl(k={k}, d={d}) with coefficient 1")
+    if not is_compound(canonical_diagram(terms[0][0])):
+        raise VerificationError(f"target forest {terms[0][0].hex()} has only segment components")
+    unknown = sorted({rid for rid, _ in cert.combination} - by_id.keys())
+    if unknown:
+        raise VerificationError(f"unknown relator id {unknown[0]!r}")
+    if not verify_certificate(cert, by_id):
+        raise VerificationError("combination plus residual does not re-sum to the target")
+    if not cert.is_member:
+        raise VerificationError("nonzero residual")
 
 
 # -- monomial reduction ---------------------------------------------------------
@@ -188,7 +220,7 @@ def reduce_to_monomials(L: LinComb, k: int) -> dict:
         D = canonical_diagram(key)
         if is_boring(D):
             raise DiagramError("boring content is outside the homotopy quotient")
-        if D.n and max(len(c) for c in D.components()) >= 4:
+        if is_compound(D):
             continue
         exps = {}
         for i, j in itertools.combinations(range(1, k + 1), 2):
