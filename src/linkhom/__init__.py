@@ -69,4 +69,31 @@ from .spaces import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # bases, bounded, chords
+    "enum_forests", "trees_on_colors",
+    "BoundedDiagram", "canonicalize_bounded", "enum_bounded", "inject_bounded",
+    "ChordDiagram", "chord_key", "enum_chord", "inject_chord",
+    # diagrams
+    "Diagram", "SignedCanonicalKey", "build", "canonical_diagram", "canonicalize",
+    "caterpillar", "disjoint_union", "empty", "first_betti", "graft_with_map",
+    "inject", "is_boring", "segment", "tripod",
+    # errors
+    "BudgetError", "DiagramError", "ParseError", "UsageError", "VerificationError",
+    # gauss
+    "GaussLink", "gauss_text", "linking_matrix", "parse_gauss", "parse_pd",
+    "random_homotopy_move", "reverse_component",
+    # hopf, interchange, lincomb
+    "coproduct", "is_primitive", "product",
+    "parse", "serialize", "serialize_text",
+    "LinComb",
+    # qlinalg
+    "MembershipCertificate", "SparseRationalMatrix", "certificate_doc",
+    "certificate_from_doc", "relator_matrix", "verify_certificate",
+    # relators
+    "Relator", "four_t_relators", "graft", "ihx_relators", "link1_relators",
+    "one_t_relators", "star_relator", "star_relators", "stu_relators",
+    # spaces
+    "SpaceReport", "chi", "chi_lincomb", "dim_knot_chord", "dim_space",
+    "polynomial_dimension", "reduce_to_monomials", "verify_main_theorem",
+]

@@ -4,8 +4,10 @@ A bounded diagram is a unitrivalent graph whose legs are attached to k
 vertical segments at ordered positions (top to bottom).  The graph is stored
 as a diagram whose leg colors are the segment numbers; the attachment orders
 live alongside it.  Canonical keys recolor every leg with its (segment,
-position) slot, which pins all legs and leaves only internal symmetry to the
-usual signed canonicalization.
+position) slot, which makes all leg colors distinct, so a bounded diagram
+without a cycle takes the linear-time forest labeling of diagrams.py even
+when it repeats a segment within a component.  Whether it is boring is still
+decided by segment colors.
 """
 
 from __future__ import annotations
@@ -44,18 +46,18 @@ class BoundedDiagram:
         return self.graph.degree()
 
 
-def _slot_colored(B: BoundedDiagram) -> Diagram:
+def _slot_colors(B: BoundedDiagram):
+    """Leg colors recolored by (segment, position) slot, and their bound."""
     total = sum(len(seg) for seg in B.order)
-    kk = B.k * (total + 1)
     colors = list(B.graph.colors)
     for s, seg in enumerate(B.order, start=1):
         for p, v in enumerate(seg):
             colors[v] = p * B.k + s
-    return Diagram(kk, tuple(colors), B.graph.incidence)
+    return colors, B.k * (total + 1)
 
 
 def canonicalize_bounded(B: BoundedDiagram) -> SignedCanonicalKey:
-    inner = canonicalize(_slot_colored(B))
+    inner = canonicalize(B.graph, *_slot_colors(B))
     return SignedCanonicalKey(bytes([_TAG_BOUNDED, B.k]) + inner.key, inner.sign)
 
 

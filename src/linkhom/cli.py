@@ -107,6 +107,7 @@ def _cmd_check_cert(args) -> int:
     doc = json.loads(Path(args.cert).read_text())
     k, d = _doc_int(doc, "k", 1), _doc_int(doc, "d", 0)
     cert = certificate_from_doc(doc)
+    spaces.check_budget("bhl", k, d, _budget(args))
     spaces.check_main_certificate(cert, k, d)
     print(_dump({"cert": Path(args.cert).name, "ok": True}) if args.json else "ok")
     return EXIT_OK

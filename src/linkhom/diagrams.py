@@ -8,6 +8,27 @@ with a sign: +1 or -1 relating the input orientation to the canonical one, or
 0 when some automorphism reverses an odd number of rotations (the diagram is
 then killed by antisymmetry).
 
+A key is a tag byte, k, the vertex count and the edge count, then the vertex
+colors in canonical label order (0 for internal vertices), then the edges as
+sorted label pairs.  The representative rebuilt from a key puts each edge's
+even half-edge at its lower label and takes every rotation in ascending
+half-edge order; the sign compares the input with that representative.
+
+Labels come from one of two methods.  A forest whose trees have distinct leg
+colors -- every diagram the homotopy quotient keeps, and every slot-colored
+bounded diagram without a cycle -- is labeled in linear time, after Aho,
+Hopcroft and Ullman's rooted tree isomorphism: each tree is rooted at its
+least-colored leg, children are ordered by the least leg color below them,
+and the trees' preorders are concatenated in the order of their preorder color
+sequences.  Such a sequence determines its tree (it is the tree's Polish
+notation), so trees with equal sequences are interchangeable, and since a
+tree with distinct leg colors has no nontrivial automorphism the sign is
+never 0.  Any other diagram (one with a cycle, or a component repeating a leg
+color, which only non-homotopy callers canonicalize) goes through a search:
+vertices are split into cells by iterated neighborhood refinement, and every
+ordering of every cell is tried for the least edge list.  The search is
+factorial in the cell sizes.
+
 Half-edge convention: edge e owns half-edges 2e and 2e+1, mate(h) = h ^ 1, and
 every half-edge is incident to exactly one vertex.  All values are immutable;
 operations build new diagrams.
@@ -18,7 +39,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
+from operator import itemgetter
 
 from .errors import DiagramError
 from .lincomb import LinComb
@@ -53,9 +75,12 @@ class Diagram:
                 if h in owner:
                     raise DiagramError(f"half-edge {h} attached to two vertices")
                 owner[h] = v
-        if sorted(owner) != list(range(len(owner))):
+        if sorted(owner) != list(range(len(owner))) or len(owner) % 2:
             raise DiagramError("half-edge ids must be exactly 0..2E-1")
-        for comp in self.components():
+        # every diagram needs its half-edge owners and components; keep them
+        object.__setattr__(self, "_owner", tuple(owner[h] for h in range(len(owner))))
+        object.__setattr__(self, "_components", self._find_components())
+        for comp in self._components:
             if not any(self.colors[v] is not None for v in comp):
                 raise DiagramError("every component needs at least one leg")
 
@@ -67,15 +92,7 @@ class Diagram:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(inc) for inc in self.incidence) // 2
-
-    @cached_property
-    def _owner(self) -> tuple:
-        own = [0] * (2 * self.n_edges)
-        for v, inc in enumerate(self.incidence):
-            for h in inc:
-                own[h] = v
-        return tuple(own)
+        return len(self._owner) // 2
 
     def vertex_of(self, h: int) -> int:
         return self._owner[h]
@@ -92,21 +109,32 @@ class Diagram:
 
     def components(self) -> tuple:
         """Vertex sets of connected components, each sorted, ordered by minimum."""
-        parent = list(range(self.n))
+        return self._components
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def _find_components(self) -> tuple:
+        owner, inc = self._owner, self.incidence
+        seen = [False] * self.n
+        comps = []
+        for root in range(self.n):
+            if seen[root]:
+                continue
+            seen[root] = True
+            stack, comp = [root], []
+            while stack:
+                v = stack.pop()
+                comp.append(v)
+                for h in inc[v]:
+                    w = owner[h ^ 1]
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
 
-        for e in range(self.n_edges):
-            u, v = self._owner[2 * e], self._owner[2 * e + 1]
-            parent[find(u)] = find(v)
-        groups = {}
-        for v in range(self.n):
-            groups.setdefault(find(v), []).append(v)
-        return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+    @cached_property
+    def _colored_forest(self) -> bool:
+        # inject tests boringness and then canonicalizes: one scan serves both
+        return _is_colored_forest(self, self.colors)
 
     def degree(self) -> int:
         return self.n // 2
@@ -233,15 +261,21 @@ def first_betti(D: Diagram, component) -> int:
     return e - len(comp) + 1
 
 
+def _is_colored_forest(D: Diagram, colors) -> bool:
+    """True when every component is a tree whose legs carry distinct colors."""
+    comps = D.components()
+    if D.n_edges != D.n - len(comps):       # a forest has E = V - #components
+        return False
+    for comp in comps:
+        legs = [colors[v] for v in comp if colors[v] is not None]
+        if len(legs) != len(set(legs)):
+            return False
+    return True
+
+
 def is_boring(D: Diagram) -> bool:
     """True when some component repeats a leg color or has a cycle."""
-    for comp in D.components():
-        cols = [D.colors[v] for v in comp if D.colors[v] is not None]
-        if len(cols) != len(set(cols)):
-            return True
-        if first_betti(D, comp) > 0:
-            return True
-    return False
+    return not D._colored_forest
 
 
 # -- canonical form --------------------------------------------------------
@@ -258,6 +292,9 @@ class SignedCanonicalKey:
 
 
 _TAG_UNITRI = 0x55
+
+#: Largest value of a one-byte key field.
+KEY_BYTE_MAX = 255
 
 
 def _refined_cells(D: Diagram):
@@ -387,9 +424,56 @@ def _slot_groups(D: Diagram, pi, pairs):
     return groups
 
 
-@lru_cache(maxsize=None)
-def canonicalize(D: Diagram) -> SignedCanonicalKey:
-    """Canonical byte key and orientation sign of a diagram."""
+def _encode(k, desc, pairs) -> bytes:
+    if max(k, len(desc), len(pairs)) > KEY_BYTE_MAX:
+        raise DiagramError("diagram too large to encode")
+    return bytes([_TAG_UNITRI, k, len(desc), len(pairs), *desc, *(x for p in pairs for x in p)])
+
+
+def _forest_key(D: Diagram, colors, k) -> SignedCanonicalKey:
+    """Canonical key of a forest whose trees have distinct leg colors."""
+    owner, inc = D._owner, D.incidence
+
+    def walk(v, up):
+        """(least leg color, preorder) of the subtree at v, entered through half-edge up."""
+        if colors[v] is not None:
+            return colors[v], [v]
+        a, b = (walk(owner[h ^ 1], h ^ 1) for h in inc[v] if h != up)
+        if b[0] < a[0]:
+            a, b = b, a
+        return a[0], [v, *a[1], *b[1]]
+
+    trees = []
+    for comp in D.components():
+        root = min((v for v in comp if colors[v] is not None), key=colors.__getitem__)
+        h = inc[root][0]
+        order = [root, *walk(owner[h ^ 1], h ^ 1)[1]]
+        trees.append((tuple(colors[v] or 0 for v in order), order))
+    trees.sort(key=itemgetter(0))
+
+    desc = [c for seq, _ in trees for c in seq]
+    label = [0] * D.n
+    for i, v in enumerate(v for _, order in trees for v in order):
+        label[v] = i
+    ends = []
+    for e in range(D.n_edges):
+        a, b = label[owner[2 * e]], label[owner[2 * e + 1]]
+        ends.append((a, b, e) if a < b else (b, a, e))
+    ends.sort()
+    # a vertex's three edges are distinct, so the edges' slots in the sorted
+    # list order its half-edges as the representative's ids do
+    slot = [0] * D.n_edges
+    for s, (_, _, e) in enumerate(ends):
+        slot[e] = s
+    sign = 1
+    for v, c in enumerate(colors):
+        if c is None:
+            sign *= _rotation_parity(*(slot[h >> 1] for h in inc[v]))
+    return SignedCanonicalKey(_encode(k, desc, [(a, b) for a, b, _ in ends]), sign)
+
+
+def _search_key(D: Diagram) -> SignedCanonicalKey:
+    """Canonical key by trying every ordering of every refined cell."""
     cells = _refined_cells(D)
     best = None
     best_pis = []
@@ -411,13 +495,7 @@ def canonicalize(D: Diagram) -> SignedCanonicalKey:
         pi0 = best_pis[0]
         for v in range(D.n):
             desc[pi0[v]] = D.colors[v] or 0
-
-    values = [_TAG_UNITRI, D.k, D.n, D.n_edges or 0] + desc
-    for a, b in best or ():
-        values.extend((a, b))
-    if any(x < 0 or x > 255 for x in values):
-        raise DiagramError("diagram too large to encode")
-    key = bytes(values)
+    key = _encode(D.k, desc, best or ())
 
     signs = set()
     for pi in best_pis:
@@ -426,6 +504,21 @@ def canonicalize(D: Diagram) -> SignedCanonicalKey:
             if len(signs) == 2:
                 return SignedCanonicalKey(key, 0)
     return SignedCanonicalKey(key, signs.pop() if signs else 1)
+
+
+def canonicalize(D: Diagram, colors=None, k=None) -> SignedCanonicalKey:
+    """Canonical byte key and orientation sign of a diagram.
+
+    colors and k, when given, stand in for the leg colors and their bound;
+    bounded keys pass each leg's slot color this way.
+    """
+    if colors is None:
+        if D._colored_forest:
+            return _forest_key(D, D.colors, D.k)
+        return _search_key(D)
+    if _is_colored_forest(D, colors):
+        return _forest_key(D, colors, k)
+    return _search_key(Diagram(k, tuple(colors), D.incidence))
 
 
 def canonical_diagram(key: bytes) -> Diagram:

@@ -1,9 +1,10 @@
 """Relator generation for the diagram spaces.
 
 Every relator is a linear combination of canonical keys together with a
-stable id.  Relators are generated from canonical basis representatives, so
-ids are reproducible across runs; elements may be zero (kept in the list,
-dropped when building matrices).
+stable id.  Relators are generated from canonical basis representatives and
+each id carries the hex key of its basis element, so ids are reproducible
+across runs; elements may be zero (kept in the list, dropped when building
+matrices).
 
 Sign conventions: IHX is I - H + X with both rotations normalized to start
 with the internal edge (the exchange pattern follows the Jacobi identity);
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from . import bounded as bnd
 from . import chords as ch
-from .diagrams import Diagram, canonical_diagram, canonicalize, graft_with_map, inject
+from .diagrams import Diagram, canonical_diagram, graft_with_map, inject
 from .errors import DiagramError
 from .lincomb import LinComb
 
@@ -43,9 +44,10 @@ def graft(E: Diagram, u: int, w: int) -> Diagram:
     return graft_with_map(E, u, w)[0]
 
 
-def star_relator(E: Diagram, u: int) -> Relator:
+def star_relator(E: Diagram, u: int, name: str) -> Relator:
     """Link relation at a distinguished leg: the sum of grafting u onto every
-    other leg of its color vanishes in the homotopy quotient."""
+    other leg of its color vanishes in the homotopy quotient.  name is E's
+    canonical key in hex; the relator id carries it."""
     if E.colors[u] is None:
         raise DiagramError(f"vertex {u} is not a leg")
     color = E.colors[u]
@@ -53,7 +55,7 @@ def star_relator(E: Diagram, u: int) -> Relator:
     for w, c in E.legs():
         if w != u and c == color:
             element = element + inject(graft(E, u, w))
-    rid = f"star:{canonicalize(E).hex}:{u}"
+    rid = f"star:{name}:{u}"
     return Relator(rid, element)
 
 
@@ -63,7 +65,7 @@ def star_relators(basis) -> list:
     for sk in basis:
         E = canonical_diagram(sk.key)
         for u, _ in E.legs():
-            out.append(star_relator(E, u))
+            out.append(star_relator(E, u, sk.hex))
     return out
 
 
@@ -89,8 +91,8 @@ def internal_edges(D: Diagram) -> list:
     ]
 
 
-def ihx_relator(D: Diagram, e: int) -> Relator:
-    """Three-term exchange at an internal edge, I - H + X."""
+def ihx_relator(D: Diagram, e: int, name: str) -> Relator:
+    """Three-term exchange at an internal edge, I - H + X; name as for star_relator."""
     h, hp = 2 * e, 2 * e + 1
     x, y = D.vertex_of(h), D.vertex_of(hp)
     if D.colors[x] is not None or D.colors[y] is not None or x == y:
@@ -101,7 +103,7 @@ def ihx_relator(D: Diagram, e: int) -> Relator:
     term_h = _with_rotations(D, x, (h, a1, b1), y, (hp, a2, b2))
     term_x = _with_rotations(D, x, (h, a2, b1), y, (hp, a1, b2))
     element = inject(term_i) - inject(term_h) + inject(term_x)
-    rid = f"ihx:{canonicalize(D).hex}:{e}"
+    rid = f"ihx:{name}:{e}"
     return Relator(rid, element)
 
 
@@ -110,20 +112,21 @@ def ihx_relators(basis) -> list:
     for sk in basis:
         D = canonical_diagram(sk.key)
         for e in internal_edges(D):
-            out.append(ihx_relator(D, e))
+            out.append(ihx_relator(D, e, sk.hex))
     return out
 
 
 # -- STU and the bounded link relation ----------------------------------------
 
 
-def stu_relator(B: bnd.BoundedDiagram, s: int, p: int) -> Relator:
-    """S - T + U at adjacent leg positions p, p+1 on segment s."""
+def stu_relator(B: bnd.BoundedDiagram, s: int, p: int, name: str) -> Relator:
+    """S - T + U at adjacent leg positions p, p+1 on segment s; name is B's
+    bounded key in hex."""
     term_t = B
     term_u = bnd.swap_adjacent_legs(B, s, p)
     term_s = bnd.graft_adjacent_legs(B, s, p)
     element = bnd.inject_bounded(term_s) - bnd.inject_bounded(term_t) + bnd.inject_bounded(term_u)
-    rid = f"stu:{bnd.canonicalize_bounded(B).hex}:{s}:{p}"
+    rid = f"stu:{name}:{s}:{p}"
     return Relator(rid, element)
 
 
@@ -133,14 +136,15 @@ def stu_relators(basis) -> list:
         B = bnd.bounded_from_key(sk.key)
         for s in range(1, B.k + 1):
             for p in range(len(B.order[s - 1]) - 1):
-                out.append(stu_relator(B, s, p))
+                out.append(stu_relator(B, s, p, sk.hex))
     return out
 
 
-def link1_relator(B: bnd.BoundedDiagram, s: int) -> Relator:
-    """Cycling the top leg of segment s to the bottom minus the original."""
+def link1_relator(B: bnd.BoundedDiagram, s: int, name: str) -> Relator:
+    """Cycling the top leg of segment s to the bottom minus the original; name
+    as for stu_relator."""
     element = bnd.inject_bounded(bnd.cycle_segment(B, s)) - bnd.inject_bounded(B)
-    rid = f"link1:{bnd.canonicalize_bounded(B).hex}:{s}"
+    rid = f"link1:{name}:{s}"
     return Relator(rid, element)
 
 
@@ -150,7 +154,7 @@ def link1_relators(basis) -> list:
         B = bnd.bounded_from_key(sk.key)
         for s in range(1, B.k + 1):
             if B.order[s - 1]:
-                out.append(link1_relator(B, s))
+                out.append(link1_relator(B, s, sk.hex))
     return out
 
 

@@ -18,7 +18,7 @@ from . import bounded as bnd
 from . import chords as ch
 from . import relators as rel
 from .bases import enum_forests
-from .diagrams import Diagram, canonical_diagram, is_boring
+from .diagrams import KEY_BYTE_MAX, Diagram, canonical_diagram, is_boring
 from .errors import BudgetError, DiagramError, UsageError, VerificationError
 from .lincomb import LinComb
 from .qlinalg import MembershipCertificate, relator_matrix, verify_certificate
@@ -29,9 +29,22 @@ SPACES = ("bhsl", "bhl", "ahsl", "ahl", "chord")
 DEFAULT_MAX_CHORD_DEGREE = 5
 
 
+def _key_fields(space: str, k, d: int) -> dict:
+    """The largest value each one-byte key field takes in a cell.  A forest of
+    degree d has 2d vertices and at most 2d - 1 edges, so the vertex count
+    also bounds the edge count."""
+    if space == "chord":
+        return {"degree": d, "endpoint index": 2 * d - 1}
+    fields = {"k": k, "vertex count": 2 * d}
+    if space in ("ahsl", "ahl", "bounded"):
+        fields["bounded color bound"] = k * (2 * d + 1)
+    return fields
+
+
 def check_budget(space: str, k, d: int, budget=None) -> None:
     """Raise UsageError for k < 1 (outside chord) or d < 0, and BudgetError
-    when the request exceeds the configured bounds."""
+    when the request exceeds the configured bounds or its keys cannot fit
+    their one-byte fields."""
     if space != "chord" and (k is None or k < 1):
         raise UsageError(f"space {space} needs k >= 1")
     if d < 0:
@@ -40,14 +53,16 @@ def check_budget(space: str, k, d: int, budget=None) -> None:
         limit = budget[1] if budget else DEFAULT_MAX_CHORD_DEGREE
         if d > limit:
             raise BudgetError(f"chord degree {d} exceeds budget {limit}")
-        return
-    if budget:
+    elif budget:
         bk, bd = budget
         if k > bk or d > bd:
             raise BudgetError(f"(k={k}, d={d}) exceeds budget (k<={bk}, d<={bd})")
-        return
-    if not ((k <= 5 and d <= 3) or (k <= 4 and d <= 4)):
+    elif not ((k <= 5 and d <= 3) or (k <= 4 and d <= 4)):
         raise BudgetError(f"(k={k}, d={d}) exceeds the default budget")
+    for name, value in _key_fields(space, k, d).items():
+        if value > KEY_BYTE_MAX:
+            raise BudgetError(f"{space} cell (k={k}, d={d}) exceeds the key-size limit: "
+                              f"{name} {value} > {KEY_BYTE_MAX}")
 
 
 @dataclass

@@ -152,7 +152,7 @@ def test_a3_star_coefficient():
         D = empty(3)
         for part in [tripod(1, 2, 3, 3)] + [segment(1, 2, 3)] * m:
             D = disjoint_union(D, part)
-        terms = list(star_relator(E, u).element.items())
+        terms = list(star_relator(E, u, canonicalize(E).hex).element.items())
         results.append(
             len(terms) == 1
             and terms[0][0] == canonicalize(D).key

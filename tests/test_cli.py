@@ -130,6 +130,22 @@ def test_budget_error_is_3():
     _run("enumerate", "--space", "chord", "-d", "8", expect=3)
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["dim", "--space", "bhl", "-k", "300", "-d", "1", "--budget-k", "400"], "k 300"),
+    (["verify", "-k", "256", "--max-degree", "1", "--budget-k", "256"], "k 256"),
+    (["dim", "--space", "bhsl", "-k", "2", "-d", "128", "--budget-d", "128"],
+     "vertex count 256"),
+    (["dim", "--space", "ahl", "-k", "30", "-d", "4", "--budget-k", "30"],
+     "bounded color bound 270"),
+    (["enumerate", "--space", "bounded", "-k", "6", "-d", "21", "--budget-k", "6",
+      "--budget-d", "21"], "bounded color bound 258"),
+    (["dim", "--space", "chord", "-d", "129", "--budget-d", "129"], "endpoint index 257"),
+], ids=["k", "verify-k", "vertex-count", "bounded-colors", "enumerate-bounded", "chord"])
+def test_key_size_limit_is_a_budget_error(argv, field):
+    err = _proc(*argv, expect=3).stderr
+    assert err.startswith("budget: ") and "key-size limit" in err and field in err, err
+
+
 def test_budget_override_loosens():
     # (2,4) is outside a tightened budget, inside the default one
     _run("dim", "--space", "bhl", "-k", "2", "-d", "4")
@@ -224,10 +240,10 @@ def _with(doc, **fields):
     return {key: value for key, value in {**doc, **fields}.items() if value is not None}
 
 
-def _check(tmp_path, doc, expect):
+def _check(tmp_path, doc, expect, *flags):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc))
-    err = _proc("check-cert", "--cert", str(path), expect=expect).stderr
+    err = _proc("check-cert", "--cert", str(path), *flags, expect=expect).stderr
     assert "Traceback" not in err and err.count("\n") == 1, err
     return err
 
@@ -277,3 +293,11 @@ def test_check_cert_wrong_claim_is_4(tmp_path, cert_k3_d2, change):
     err = _check(tmp_path, change(doc, keys), expect=4)
     assert err.startswith("verification failure: "), err
 
+
+def test_check_cert_over_budget_is_3(tmp_path, cert_k3_d2):
+    # bhl(7, 5) is never enumerated: the budget check comes first
+    doc, _ = cert_k3_d2
+    err = _check(tmp_path, _with(doc, k=7, d=5), 3)
+    assert err.startswith("budget: "), err
+    err = _check(tmp_path, doc, 3, "--budget-d", "1")
+    assert err.startswith("budget: "), err

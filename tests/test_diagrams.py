@@ -7,6 +7,8 @@ Core claims:
     - diagrams with an order-reversing automorphism canonicalize to sign 0
     - boring detection sees repeated leg colors and positive first Betti number
     - degree is additive under disjoint union
+    - the forest labeling agrees with the refinement search on random forests,
+      plain and bounded, and the library never falls back to the search
 """
 
 import random
@@ -14,8 +16,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linkhom import bounded as bnd
+from linkhom import diagrams
+from linkhom.bases import _raw_trees
 from linkhom.diagrams import (
     Diagram,
+    SignedCanonicalKey,
     build,
     canonical_diagram,
     canonicalize,
@@ -30,6 +36,7 @@ from linkhom.diagrams import (
     tripod,
 )
 from linkhom.errors import DiagramError
+from linkhom.spaces import dim_space, polynomial_dimension, verify_main_theorem
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -49,15 +56,18 @@ def _h_tree(a, b, c, d, k):
     )
 
 
-def _relabel(D, rng):
-    """Rebuild D under a random vertex permutation and edge shuffle."""
-    perm = list(range(D.n))
-    rng.shuffle(perm)
+def _relabel(D, rng, flip=False, perm=None):
+    """Rebuild D under a random vertex permutation (or the given one), edge
+    shuffle and edge reversal; with flip, each rotation is also reversed with
+    probability 1/2."""
+    if perm is None:
+        perm = list(range(D.n))
+        rng.shuffle(perm)
     edges = [(perm[D.vertex_of(2 * e)], perm[D.vertex_of(2 * e + 1)])
              for e in range(D.n_edges)]
     eperm = list(range(D.n_edges))
     rng.shuffle(eperm)
-    new_edges = [edges[e] for e in eperm]
+    new_edges = [edges[e][::rng.choice((1, -1))] for e in eperm]
     inv = {old: new for new, old in enumerate(eperm)}
     vertices = [None] * D.n
     for v in range(D.n):
@@ -65,8 +75,46 @@ def _relabel(D, rng):
     rotations = {}
     for v in range(D.n):
         if D.colors[v] is None:
-            rotations[perm[v]] = tuple(inv[h // 2] for h in D.incidence[v])
+            rot = tuple(inv[h // 2] for h in D.incidence[v])
+            rotations[perm[v]] = rot[::-1] if flip and rng.random() < 0.5 else rot
     return build(D.k, vertices, new_edges, rotations)
+
+
+def _random_forest(rng, k, pool):
+    """Disjoint union of one to three trees from pool, repeats allowed."""
+    F = empty(k)
+    for _ in range(rng.randint(1, 3)):
+        F = disjoint_union(F, rng.choice(pool))
+    return F
+
+
+def _tree_pool(rng, k, max_leaves, distinct=True):
+    """A few random trees on random leaf colors from bases._raw_trees."""
+    pool = []
+    for _ in range(3):
+        if distinct:
+            colors = rng.sample(range(1, k + 1), rng.randint(2, min(k, max_leaves)))
+        else:
+            colors = [rng.randint(1, k) for _ in range(rng.randint(2, max_leaves))]
+        verts, edges = rng.choice(_raw_trees(colors))
+        pool.append(build(k, verts, edges))
+    return pool
+
+
+def _search_bounded(B):
+    """The refinement search's key of a bounded diagram, as the oracle."""
+    colors, kk = bnd._slot_colors(B)
+    return diagrams._search_key(Diagram(kk, tuple(colors), B.graph.incidence))
+
+
+def _random_order(rng, D):
+    """A random top-to-bottom order of each segment's legs."""
+    order = []
+    for s in range(1, D.k + 1):
+        seg = [v for v, c in D.legs() if c == s]
+        rng.shuffle(seg)
+        order.append(tuple(seg))
+    return tuple(order)
 
 
 # -- Construction and validation ----------------------------------------------
@@ -184,6 +232,71 @@ def test_relabeling_never_changes_class(seed):
     ck_d, ck_e = canonicalize(D), canonicalize(E)
     assert ck_d.key == ck_e.key
     assert abs(ck_e.sign) == 1
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_forest_labeling_matches_search(seed):
+    rng = random.Random(seed)
+    k = rng.randint(2, 4)
+    pool = _tree_pool(rng, k, 3)
+    D = _random_forest(rng, k, pool)
+    E = _relabel(D if rng.random() < 0.5 else _random_forest(rng, k, pool), rng, flip=True)
+    fast_d, fast_e = canonicalize(D), canonicalize(E)
+    slow_d, slow_e = diagrams._search_key(D), diagrams._search_key(E)
+    assert (fast_d.key == fast_e.key) == (slow_d.key == slow_e.key)
+    assert fast_d.sign * fast_e.sign != 0
+    if fast_d.key == fast_e.key:
+        assert fast_d.sign * fast_e.sign == slow_d.sign * slow_e.sign
+    assert canonicalize(canonical_diagram(fast_d.key)) == SignedCanonicalKey(fast_d.key, 1)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_bounded_forest_labeling_matches_search(seed):
+    # segment colors may repeat within a tree: slot colors never do
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    pool = _tree_pool(rng, k, 4, distinct=False)
+    F = _random_forest(rng, k, pool)
+    B = bnd.BoundedDiagram(k, F, _random_order(rng, F))
+    base = F if rng.random() < 0.5 else _random_forest(rng, k, pool)
+    order = B.order if base is F else _random_order(rng, base)
+    perm = list(range(base.n))
+    rng.shuffle(perm)
+    C = bnd.BoundedDiagram(k, _relabel(base, rng, flip=True, perm=perm),
+                           tuple(tuple(perm[v] for v in seg) for seg in order))
+    fast_b, fast_c = bnd.canonicalize_bounded(B), bnd.canonicalize_bounded(C)
+    slow_b, slow_c = _search_bounded(B), _search_bounded(C)
+    assert (fast_b.key == fast_c.key) == (slow_b.key == slow_c.key)
+    assert fast_b.sign * fast_c.sign != 0
+    if fast_b.key == fast_c.key:
+        assert fast_b.sign * fast_c.sign == slow_b.sign * slow_c.sign
+    again = bnd.canonicalize_bounded(bnd.bounded_from_key(fast_b.key))
+    assert again == SignedCanonicalKey(fast_b.key, 1)
+
+
+def test_parallel_struts_are_labeled_without_search():
+    # the search tries 8!^2 labelings here; the forest labeling is linear
+    D = empty(2)
+    for _ in range(8):
+        D = disjoint_union(D, segment(1, 2, 2))
+    sk = canonicalize(D)
+    assert sk.sign == 1
+    assert canonical_diagram(sk.key).colors == (1, 2) * 8
+    assert dim_space("bhl", 2, 8, budget=(2, 8)).dim == 1
+
+
+def test_library_never_reaches_the_search(monkeypatch):
+    def search(D):
+        raise AssertionError("refinement search reached")
+
+    monkeypatch.setattr(diagrams, "_search_key", search)
+    assert dim_space("bhl", 4, 3).dim == polynomial_dimension(4, 3)
+    assert dim_space("ahl", 3, 3).dim == polynomial_dimension(3, 3)
+    assert len(verify_main_theorem(3, 3)) > 0
+    with pytest.raises(AssertionError):
+        canonicalize(_tadpole())
 
 
 # -- Homotopy grading ----------------------------------------------------------

@@ -110,7 +110,7 @@ def test_star_relator_coefficient_identity(m):
     # every graft lands on the same class, so the relator is +-(1+m) times it
     E = _union([segment(1, 3, 3)] + [segment(1, 2, 3)] * (1 + m), 3)
     u = _color1_leg_next_to(E, 3)
-    r = star_relator(E, u)
+    r = star_relator(E, u, canonicalize(E).hex)
     D = _union([tripod(1, 2, 3, 3)] + [segment(1, 2, 3)] * m, 3)
     expected = canonicalize(D)
     terms = list(r.element.items())
@@ -124,14 +124,14 @@ def test_star_relator_needs_a_leg():
     E = tripod(1, 2, 3, 3)
     trivalent = next(v for v in range(E.n) if E.colors[v] is None)
     with pytest.raises(DiagramError):
-        star_relator(E, trivalent)
+        star_relator(E, trivalent, canonicalize(E).hex)
 
 
 def test_star_relator_drops_boring_grafts():
     # grafting two seg(1,2) copies yields a repeated-color component: zero
     E = _union([segment(1, 2, 3)] * 2, 3)
     u = next(v for v, c in E.legs() if c == 1)
-    r = star_relator(E, u)
+    r = star_relator(E, u, canonicalize(E).hex)
     assert r.element.is_zero()
 
 
