@@ -60,7 +60,6 @@ from .spaces import (
     SpaceReport,
     chi,
     chi_lincomb,
-    dim_knot_chord,
     dim_space,
     polynomial_dimension,
     reduce_to_monomials,
@@ -94,6 +93,6 @@ __all__ = [
     "Relator", "four_t_relators", "graft", "ihx_relators", "link1_relators",
     "one_t_relators", "star_relator", "star_relators", "stu_relators",
     # spaces
-    "SpaceReport", "chi", "chi_lincomb", "dim_knot_chord", "dim_space",
+    "SpaceReport", "chi", "chi_lincomb", "dim_space",
     "polynomial_dimension", "reduce_to_monomials", "verify_main_theorem",
 ]

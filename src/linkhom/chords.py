@@ -46,9 +46,22 @@ def rotate(c: ChordDiagram, r: int) -> ChordDiagram:
 
 
 def chord_key(c: ChordDiagram) -> bytes:
-    """Canonical byte key: the least pairing over all rotations."""
-    n = len(c.pairing)
-    best = min(rotate(c, r).pairing for r in range(n)) if n else ()
+    """Canonical byte key: the least pairing over all rotations.
+
+    The rotation that starts at point r begins with the forward gap
+    (pairing[r] - r) % n, so only rotations starting at a point of least gap
+    can be least; those are compared as plain tuples.
+    """
+    p = c.pairing
+    n = len(p)
+    best = ()
+    if n:
+        gaps = [(j - i) % n for i, j in enumerate(p)]
+        low = min(gaps)
+        best = min(
+            tuple((p[(i + r) % n] - r) % n for i in range(n))
+            for r in range(n) if gaps[r] == low
+        )
     return bytes([_TAG_CHORD, c.d, *best])
 
 

@@ -136,28 +136,6 @@ def tensor_product(s: LinComb, t: LinComb) -> LinComb:
     return out
 
 
-def tensor_flip(s: LinComb) -> LinComb:
-    return LinComb({(b, a): c for (a, b), c in s.items()})
-
-
-def coproduct_left(s: LinComb) -> LinComb:
-    """(coproduct (x) id) applied to a tensor."""
-    out = LinComb.zero()
-    for (a, b), c in s.items():
-        for (l, m), cl in coproduct_key(a).items():
-            out = out + LinComb.term((l, m, b), c * cl)
-    return out
-
-
-def coproduct_right(s: LinComb) -> LinComb:
-    """(id (x) coproduct) applied to a tensor."""
-    out = LinComb.zero()
-    for (a, b), c in s.items():
-        for (m, r), cr in coproduct_key(b).items():
-            out = out + LinComb.term((a, m, r), c * cr)
-    return out
-
-
 # -- primitivity --------------------------------------------------------------
 
 
@@ -180,28 +158,3 @@ def is_primitive(x: LinComb) -> bool:
     one = LinComb.term(unit_key(kind))
     want = tensor(x, one) + tensor(one, x)
     return coproduct(x) == want
-
-
-def is_connected_key(key: bytes) -> bool:
-    """Connectivity in the intersection graph (chords) or the diagram itself."""
-    if _tag(key) == _CHORD:
-        c = ch.chord_from_key(key)
-        if c.d == 0:
-            return False
-        chords = c.chords()
-
-        def crossing(x, y):
-            (i, j), (a, b) = chords[x], chords[y]
-            return (i < a < j) != (i < b < j)
-
-        seen, todo = {0}, [0]
-        while todo:
-            x = todo.pop()
-            for y in range(c.d):
-                if y not in seen and crossing(x, y):
-                    seen.add(y)
-                    todo.append(y)
-        return len(seen) == c.d
-    if _tag(key) == _TAG_UNITRI:
-        return len(canonical_diagram(key).components()) == 1
-    raise DiagramError(f"no connectivity notion for key tag {key[0]:#x}")

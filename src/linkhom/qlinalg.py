@@ -1,10 +1,20 @@
-"""Exact rational elimination with membership certificates.
+"""Exact elimination with membership certificates, on integer rows.
 
-Rows are sparse Fraction vectors over a fixed, sorted column basis of
-canonical keys.  Elimination is deterministic: rows are processed in input
-order, the pivot of a row is its first surviving nonzero column, and every
-pivot is scaled to 1.  Echelon rows remember their expression in the original
-relators, so membership reductions come with replayable certificates that a
+Rows are sparse integer vectors over a fixed, sorted column basis of
+canonical keys; a relator with rational coefficients enters as the integer
+multiple that clears its denominators.  Elimination is fraction-free and
+deterministic: rows are processed in input order, a reduction step at column
+col is vec <- a*vec - b*pvec with a = lead/g, b = vec[col]/g and
+g = gcd(vec[col], lead), and a row that survives becomes a pivot after
+division by the gcd of its entries, with its lead made positive.  Every step
+is a nonzero multiple of the rational step against a pivot scaled to lead 1,
+so the pivots, residuals and certificates equal those of rational
+elimination.  Fractions appear only at the boundary: certificate coefficients
+and the residual.
+
+Pivot expressions in the relators are built on the first membership call, by
+replaying the pivot rows in creation order against the pivots made before
+each; membership reductions then come with replayable certificates that a
 plain summation can re-check without touching the eliminator.
 """
 
@@ -13,6 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .lincomb import LinComb, doc_field, lincomb_from_doc, terms_doc
 
@@ -28,32 +39,52 @@ class MembershipCertificate:
         return self.residual.is_zero()
 
 
+def _make_primitive(vec) -> int:
+    """Divide vec by the gcd of its entries, signed so the lead turns
+    positive; return that signed divisor."""
+    g = gcd(*vec.values())
+    if vec[min(vec)] < 0:
+        g = -g
+    for c in vec:
+        vec[c] //= g
+    return g
+
+
 class SparseRationalMatrix:
-    """Relator rows over a fixed basis: rank and in_span never build relator
-    combinations, and membership always does."""
+    """Relator rows over a fixed basis.  rank and in_span run only the
+    untracked elimination and build no relator combinations; the first
+    membership call builds the pivot expressions, once."""
 
     def __init__(self, columns):
         self.columns = tuple(columns)
         self._col_index = {key: i for i, key in enumerate(self.columns)}
         if len(self._col_index) != len(self.columns):
             raise ValueError("duplicate basis keys")
-        self.rows = []          # (rid, {col: Fraction})
-        self._pivots = None     # col -> (rowvec, expr {rid: Fraction})
+        self.rows = []          # (rid, {col: int}, m) with the int row = m * relator
+        self._reset()
 
-    def _to_cols(self, element: LinComb) -> dict:
-        out = {}
+    def _reset(self):
+        self._pivots = None     # lead col -> primitive int row with positive lead
+        self._pivot_rows = None  # index into rows of each pivot, in creation order
+        self._exprs = None      # lead col -> (den, {rid: int}), den * pivot = sum(c * relator)
+
+    def _to_cols(self, element: LinComb):
+        """(vec, m): the integer vector m * element, m its least denominator."""
+        cols = []
+        m = 1
         for key, coeff in element.items():
             col = self._col_index.get(key)
             if col is None:
                 raise ValueError(f"key {key.hex()} is not in the basis")
-            out[col] = coeff
-        return out
+            cols.append((col, coeff))
+            m = lcm(m, coeff.denominator)
+        return {col: coeff.numerator * (m // coeff.denominator) for col, coeff in cols}, m
 
     def add_row(self, element: LinComb, rid=None):
         if rid is None:
             rid = f"row{len(self.rows)}"
-        self.rows.append((rid, self._to_cols(element)))
-        self._pivots = None
+        self.rows.append((rid, *self._to_cols(element)))
+        self._reset()
 
     def add_relators(self, relators):
         for rel in relators:
@@ -61,27 +92,38 @@ class SparseRationalMatrix:
                 self.add_row(rel.element, rel.rid)
 
     @staticmethod
-    def _reduce(vec, combo, pivots):
-        # Worklist in ascending column order.  Subtracting a pivot row can
-        # populate columns that were zero on entry, so the frontier has to
-        # grow as it is consumed; pivot rows only reach columns above their
-        # lead, hence every push is above the column being cleared.
-        #
-        # Pivot rows satisfy pvec = sum(pcombo[rid] * relator rid), so the
-        # quantity vec + sum(combo * relators) is preserved by every step.
+    def _reduce(vec, pivots, exprs=None, combo=None) -> int:
+        """Clear every pivot column of the integer vector vec, in place.
+
+        Worklist in ascending column order.  Subtracting a pivot row can
+        populate columns that were zero on entry, so the frontier has to grow
+        as it is consumed; pivot rows only reach columns above their lead,
+        hence every push is above the column being cleared.
+
+        With exprs (lead -> (pden, pcombo)) the integer combination combo,
+        keyed by relator id, is carried along so that
+        den * vec = sum(combo[k] * relator k) holds after every step, given
+        that it held with den = 1 on entry; the final den is returned.
+        """
+        den = 1
         frontier = sorted(vec)
         queued = set(frontier)
         heapq.heapify(frontier)
         while frontier:
             col = heapq.heappop(frontier)
             queued.discard(col)
-            piv = pivots.get(col)
-            if piv is None or not vec.get(col):
+            x = vec.get(col)
+            pvec = pivots.get(col)
+            if pvec is None or not x:
                 continue
-            factor = vec[col]
-            pvec, pcombo = piv
-            for c, x in pvec.items():
-                s = vec.get(c, 0) - factor * x
+            lead = pvec[col]
+            g = gcd(x, lead)
+            a, b = lead // g, x // g
+            if a != 1:
+                for c in vec:
+                    vec[c] *= a
+            for c, y in pvec.items():
+                s = vec.get(c, 0) - b * y
                 if s:
                     vec[c] = s
                     if c not in queued:
@@ -89,49 +131,66 @@ class SparseRationalMatrix:
                         heapq.heappush(frontier, c)
                 else:
                     vec.pop(c, None)
-            if combo is not None:
-                for rid, x in pcombo.items():
-                    s = combo.get(rid, 0) + factor * x
+            if exprs is not None:
+                pden, pcombo = exprs[col]
+                new_den = lcm(den, pden)
+                fa, fb = a * (new_den // den), b * (new_den // pden)
+                den = new_den
+                if fa != 1:
+                    for k in combo:
+                        combo[k] *= fa
+                for k, y in pcombo.items():
+                    s = combo.get(k, 0) - fb * y
                     if s:
-                        combo[rid] = s
+                        combo[k] = s
                     else:
-                        combo.pop(rid, None)
-        return vec, combo
+                        combo.pop(k, None)
+        return den
 
     def _eliminate(self):
+        """The untracked pass: the pivot map, keyed by lead column."""
         if self._pivots is not None:
             return self._pivots
-        pivots = {}
-        for rid, row in self.rows:
-            vec, _ = self._reduce(dict(row), None, pivots)
+        pivots, pivot_rows = {}, []
+        for i, (_, row, _) in enumerate(self.rows):
+            vec = dict(row)
+            self._reduce(vec, pivots)
             if not vec:
                 continue
-            # only a surviving row needs its expression in the relators; the
-            # tracked replay sees the same pivots, so vec comes out the same
-            vec, combo = self._reduce(dict(row), {}, pivots)
+            _make_primitive(vec)
             lead = min(vec)
             assert lead not in pivots, "reduced row must lead a fresh column"
-            scale = Fraction(1) / vec[lead]
-            vec = {c: x * scale for c, x in vec.items()}
-            # reduction left vec = row - sum(combo * relators), so the stored
-            # expression of vec in the relators negates combo
-            expr = {rid: scale}
-            for r, x in combo.items():
-                s = expr.get(r, 0) - x * scale
-                if s:
-                    expr[r] = s
-                else:
-                    expr.pop(r, None)
-            pivots[lead] = (vec, expr)
-        self._pivots = pivots
+            pivots[lead] = vec
+            pivot_rows.append(i)
+        self._pivots, self._pivot_rows = pivots, pivot_rows
         return pivots
+
+    def _expressions(self):
+        """Pivot expressions in the relators.  Each pivot row is replayed,
+        in creation order, against the pivots made before it, which are the
+        ones the untracked pass saw, so the same steps recur."""
+        if self._exprs is not None:
+            return self._exprs
+        pivots = self._eliminate()
+        made, exprs = {}, {}
+        for i in self._pivot_rows:
+            rid, row, m = self.rows[i]
+            vec, combo = dict(row), {rid: m}
+            den = self._reduce(vec, made, exprs, combo) * _make_primitive(vec)
+            lead = min(vec)
+            g = gcd(den, *combo.values())
+            made[lead] = pivots[lead]
+            exprs[lead] = (den // g, {k: x // g for k, x in combo.items()})
+        self._exprs = exprs
+        return exprs
 
     def rank(self) -> int:
         return len(self._eliminate())
 
     def in_span(self, target: LinComb) -> bool:
         """Whether target lies in the row span, without a certificate."""
-        vec, _ = self._reduce(self._to_cols(target), None, self._eliminate())
+        vec, _ = self._to_cols(target)
+        self._reduce(vec, self._eliminate())
         return not vec
 
     def membership(self, target: LinComb) -> MembershipCertificate:
@@ -139,9 +198,16 @@ class SparseRationalMatrix:
 
         The certificate satisfies sum(coeff * relator) = target - residual.
         """
-        vec, combo = self._reduce(self._to_cols(target), {}, self._eliminate())
-        residual = LinComb({self.columns[c]: x for c, x in vec.items()})
-        return MembershipCertificate(target, tuple(sorted(combo.items())), residual)
+        pivots, exprs = self._eliminate(), self._expressions()
+        vec, m = self._to_cols(target)
+        # the key None stands for the target among the relator ids
+        combo = {None: m}
+        den = self._reduce(vec, pivots, exprs, combo)
+        t = combo.pop(None)
+        # den * vec = t * target + sum(combo * relators)
+        residual = LinComb({self.columns[c]: Fraction(den * x, t) for c, x in vec.items()})
+        combination = tuple(sorted((rid, Fraction(-x, t)) for rid, x in combo.items()))
+        return MembershipCertificate(target, combination, residual)
 
 
 def relator_matrix(basis_keys, relators) -> SparseRationalMatrix:

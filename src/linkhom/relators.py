@@ -166,12 +166,14 @@ def one_t_relators(basis) -> list:
     out = []
     for c in basis:
         if ch.has_isolated_chord(c):
-            out.append(Relator(f"1t:{ch.chord_key(c).hex()}", ch.inject_chord(c)))
+            key = ch.chord_key(c)
+            out.append(Relator(f"1t:{key.hex()}", LinComb.term(key)))
     return out
 
 
-def four_t_relator(c: ch.ChordDiagram, p: int) -> Relator:
-    """Four-term relation at the adjacent endpoint pair (p, p+1).
+def four_t_relator(c: ch.ChordDiagram, p: int, name: str) -> Relator:
+    """Four-term relation at the adjacent endpoint pair (p, p+1); name is c's
+    chord key in hex.
 
     The two hops of the endpoint at p, across the near end of the other chord
     and across its far end, cancel:
@@ -181,27 +183,20 @@ def four_t_relator(c: ch.ChordDiagram, p: int) -> Relator:
     q = (p + 1) % n
     if c.pairing[p] == q:
         raise DiagramError("endpoints belong to one chord")
-    r = c.pairing[q]
     rest, q_idx, r_idx = ch.delete_point(c, p)
-    terms = [
-        (ch.reinsert(rest, q_idx), 1),
-        (ch.reinsert(rest, q_idx + 1), -1),
-        (ch.reinsert(rest, r_idx), 1),
-        (ch.reinsert(rest, r_idx + 1), -1),
-    ]
-    element = LinComb.zero()
-    for diagram, sign in terms:
-        element = element + ch.inject_chord(diagram, sign)
-    return Relator(f"4t:{ch.chord_key(c).hex()}:{p}", element)
+    hops = ((q_idx, 1), (q_idx + 1, -1), (r_idx, 1), (r_idx + 1, -1))
+    element = LinComb([(ch.chord_key(ch.reinsert(rest, pos)), sign) for pos, sign in hops])
+    return Relator(f"4t:{name}:{p}", element)
 
 
 def four_t_relators(basis) -> list:
     out = []
     for c in basis:
         n = 2 * c.d
+        name = ch.chord_key(c).hex()
         for p in range(n):
             if c.pairing[p] != (p + 1) % n:
-                out.append(four_t_relator(c, p))
+                out.append(four_t_relator(c, p, name))
     return out
 
 

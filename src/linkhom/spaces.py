@@ -147,10 +147,6 @@ def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
     return report
 
 
-def dim_knot_chord(d: int, budget=None) -> SpaceReport:
-    return dim_space("chord", None, d, budget)
-
-
 def polynomial_dimension(k: int, d: int) -> int:
     """Degree-d dimension of a polynomial ring on C(k,2) degree-one generators."""
     return comb(comb(k, 2) + d - 1, d)

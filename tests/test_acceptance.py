@@ -47,7 +47,6 @@ from linkhom.relators import (
 )
 from linkhom.spaces import (
     chi_lincomb,
-    dim_knot_chord,
     dim_space,
     relation_matrix_bhl,
     verify_main_theorem,
@@ -409,7 +408,7 @@ def _oracle_chord_dim(d):
 def test_a7_knot_chord_dims():
     t0 = time.perf_counter()
     want = {1: 0, 2: 1, 3: 1, 4: 3}
-    got = {d: dim_knot_chord(d).dim for d in want}
+    got = {d: dim_space("chord", None, d).dim for d in want}
     oracle = {d: _oracle_chord_dim(d) for d in want}
     dt = time.perf_counter() - t0
     ok = got == oracle == want and dt < 60

@@ -4,6 +4,8 @@ Core claims:
     - forest counts match a generating-function oracle built from the
       double-factorial count of leaf-labeled trivalent trees
     - chord class counts match brute-force matchings modulo rotation
+    - the pruned chord key equals the least pairing over all rotations and
+      is invariant under rotation
     - every enumerated basis element is non-boring with nonzero sign
     - enumeration is deterministic and duplicate-free
     - degree-1 forests are exactly the color pairs
@@ -13,10 +15,11 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linkhom.bases import enum_forests, trees_on_colors
 from linkhom.bounded import bounded_from_key, enum_bounded
-from linkhom.chords import chord_key, enum_chord
+from linkhom.chords import ChordDiagram, chord_key, enum_chord, rotate
 from linkhom.diagrams import canonical_diagram, canonicalize, is_boring
 
 
@@ -152,6 +155,27 @@ def test_chord_keys_distinct_and_stable():
         keys = [chord_key(c) for c in enum_chord(d)]
         assert len(keys) == len(set(keys))
         assert keys == [chord_key(c) for c in enum_chord(d)]
+
+
+@st.composite
+def _pairings(draw):
+    d = draw(st.integers(min_value=0, max_value=9))
+    points = draw(st.permutations(range(2 * d)))
+    pairing = [0] * (2 * d)
+    for a, b in zip(points[::2], points[1::2]):
+        pairing[a], pairing[b] = b, a
+    return ChordDiagram(tuple(pairing))
+
+
+@given(_pairings())
+@settings(max_examples=200, deadline=None)
+def test_chord_key_is_least_rotation(c):
+    n = len(c.pairing)
+    best = min(rotate(c, r).pairing for r in range(n)) if n else ()
+    key = chord_key(c)
+    assert key == bytes([0x43, c.d, *best])
+    for r in range(n):
+        assert chord_key(rotate(c, r)) == key
 
 
 def test_empty_chord_diagram():

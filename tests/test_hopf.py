@@ -15,19 +15,23 @@ from fractions import Fraction
 import pytest
 
 from linkhom.bases import enum_forests
-from linkhom.chords import chord_key, connect_sum, enum_chord, chord_from_key
-from linkhom.diagrams import canonicalize, disjoint_union, empty, inject, segment, tripod
+from linkhom.chords import _TAG_CHORD, chord_key, connect_sum, enum_chord, chord_from_key
+from linkhom.diagrams import (
+    canonical_diagram,
+    canonicalize,
+    disjoint_union,
+    empty,
+    inject,
+    segment,
+    tripod,
+)
 from linkhom.hopf import (
     coproduct,
     coproduct_key,
-    coproduct_left,
-    coproduct_right,
-    is_connected_key,
     is_primitive,
     product,
     product_keys,
     tensor,
-    tensor_flip,
     tensor_product,
     unit_key,
 )
@@ -35,6 +39,51 @@ from linkhom.lincomb import LinComb
 
 
 # -- Helpers -----------------------------------------------------------------
+
+def tensor_flip(s: LinComb) -> LinComb:
+    return LinComb({(b, a): c for (a, b), c in s.items()})
+
+
+def coproduct_left(s: LinComb) -> LinComb:
+    """(coproduct (x) id) applied to a tensor."""
+    out = LinComb.zero()
+    for (a, b), c in s.items():
+        for (l, m), cl in coproduct_key(a).items():
+            out = out + LinComb.term((l, m, b), c * cl)
+    return out
+
+
+def coproduct_right(s: LinComb) -> LinComb:
+    """(id (x) coproduct) applied to a tensor."""
+    out = LinComb.zero()
+    for (a, b), c in s.items():
+        for (m, r), cr in coproduct_key(b).items():
+            out = out + LinComb.term((a, m, r), c * cr)
+    return out
+
+
+def is_connected_key(key: bytes) -> bool:
+    """Connectivity in the intersection graph (chords) or the diagram itself."""
+    if key[0] == _TAG_CHORD:
+        c = chord_from_key(key)
+        if c.d == 0:
+            return False
+        chords = c.chords()
+
+        def crossing(x, y):
+            (i, j), (a, b) = chords[x], chords[y]
+            return (i < a < j) != (i < b < j)
+
+        seen, todo = {0}, [0]
+        while todo:
+            x = todo.pop()
+            for y in range(c.d):
+                if y not in seen and crossing(x, y):
+                    seen.add(y)
+                    todo.append(y)
+        return len(seen) == c.d
+    return len(canonical_diagram(key).components()) == 1
+
 
 def _chord_classes(max_d):
     out = []

@@ -7,11 +7,17 @@ Core claims:
     - rank is invariant under row shuffles
     - duplicate or unknown basis keys are rejected
     - rank and in_span, which track no combinations, leave membership
-      certificates unchanged and agree with them
+      certificates unchanged, agree with them, and build no pivot
+      expressions
+    - the integer kernel gives the same rank, in_span answers and whole
+      certificates as the rational elimination it replaced (kept below as an
+      oracle), on non-integral rows, fractional targets and shuffled orders
 """
 
+import heapq
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,6 +55,82 @@ def _dense_rank(rows, ncols):
     return rank
 
 
+class _RationalOracle:
+    """The earlier Fraction eliminator: every pivot scaled to lead 1, each
+    surviving row replayed with tracking for its relator expression."""
+
+    def __init__(self, keys, relators):
+        self.columns = list(keys)
+        index = {key: i for i, key in enumerate(keys)}
+        self.index = index
+        self.rows = [(r.rid, {index[k]: c for k, c in r.element.items()})
+                     for r in relators if not r.element.is_zero()]
+        self.pivots = self._eliminate()
+
+    @staticmethod
+    def _reduce(vec, combo, pivots):
+        frontier = sorted(vec)
+        queued = set(frontier)
+        heapq.heapify(frontier)
+        while frontier:
+            col = heapq.heappop(frontier)
+            queued.discard(col)
+            piv = pivots.get(col)
+            if piv is None or not vec.get(col):
+                continue
+            factor = vec[col]
+            pvec, pcombo = piv
+            for c, x in pvec.items():
+                s = vec.get(c, 0) - factor * x
+                if s:
+                    vec[c] = s
+                    if c not in queued:
+                        queued.add(c)
+                        heapq.heappush(frontier, c)
+                else:
+                    vec.pop(c, None)
+            if combo is not None:
+                for rid, x in pcombo.items():
+                    s = combo.get(rid, 0) + factor * x
+                    if s:
+                        combo[rid] = s
+                    else:
+                        combo.pop(rid, None)
+        return vec, combo
+
+    def _eliminate(self):
+        pivots = {}
+        for rid, row in self.rows:
+            vec, _ = self._reduce(dict(row), None, pivots)
+            if not vec:
+                continue
+            vec, combo = self._reduce(dict(row), {}, pivots)
+            lead = min(vec)
+            scale = Fraction(1) / vec[lead]
+            vec = {c: x * scale for c, x in vec.items()}
+            expr = {rid: scale}
+            for r, x in combo.items():
+                s = expr.get(r, 0) - x * scale
+                if s:
+                    expr[r] = s
+                else:
+                    expr.pop(r, None)
+            pivots[lead] = (vec, expr)
+        return pivots
+
+    def _cols(self, target):
+        return {self.index[k]: c for k, c in target.items()}
+
+    def in_span(self, target):
+        vec, _ = self._reduce(self._cols(target), None, self.pivots)
+        return not vec
+
+    def membership(self, target):
+        vec, combo = self._reduce(self._cols(target), {}, self.pivots)
+        residual = LinComb({self.columns[c]: x for c, x in vec.items()})
+        return MembershipCertificate(target, tuple(sorted(combo.items())), residual)
+
+
 def _keys(n):
     return [bytes([0x7A, i]) for i in range(n)]
 
@@ -66,6 +148,53 @@ def _random_rows(rng, nrows, ncols, density=0.4):
                 row[c] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         rows.append({c: v for c, v in row.items() if v})
     return rows
+
+
+# -- Agreement with the rational oracle -------------------------------------------
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_integer_kernel_matches_rational_oracle(seed):
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 9)
+    keys = _keys(ncols)
+    rows = [r for r in _random_rows(rng, rng.randint(0, 14), ncols) if r]
+    # a few dependent rows with fractional multipliers, so rows reduce to zero
+    for _ in range(rng.randint(0, 3)):
+        if rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            f = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            row = {c: a.get(c, 0) + f * b.get(c, 0) for c in set(a) | set(b)}
+            rows.append({c: v for c, v in row.items() if v})
+    relators = [Relator(f"r{i}", _lincomb(keys, row)) for i, row in enumerate(rows)]
+    targets = [r.element for r in relators]
+    targets += [_lincomb(keys, row) for row in _random_rows(rng, 4, ncols, density=0.7)]
+    targets.append(sum((r.element.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 5)))
+                        for r in relators), LinComb.zero()))
+    for _ in range(3):
+        oracle = _RationalOracle(keys, relators)
+        m = relator_matrix(keys, relators)
+        assert m.rank() == len(oracle.pivots)
+        for t in targets:
+            assert m.in_span(t) == oracle.in_span(t)
+            assert m.membership(t) == oracle.membership(t)
+        rng.shuffle(relators)
+
+
+def test_rank_and_in_span_build_no_expressions():
+    rng = random.Random(5)
+    keys = _keys(6)
+    rows = [r for r in _random_rows(rng, 9, 6) if r]
+    m = relator_matrix(keys, [Relator(f"r{i}", _lincomb(keys, row))
+                              for i, row in enumerate(rows)])
+    assert m.rank() > 0
+    assert m.in_span(_lincomb(keys, rows[0]))
+    m.in_span(_lincomb(keys, {0: Fraction(1, 3), 5: 2}))
+    assert m._exprs is None
+    m.membership(_lincomb(keys, rows[0]))
+    assert m._exprs is not None
+    m.add_row(_lincomb(keys, {1: 1}), "extra")
+    assert m._exprs is None
 
 
 # -- Rank agreement -------------------------------------------------------------
@@ -198,11 +327,15 @@ def test_untracked_queries_leave_certificates_unchanged(seed):
     by_id = {r.rid: r.element for r in relators}
     ranked, fresh = relator_matrix(keys, relators), relator_matrix(keys, relators)
     ranked.rank()
-    # every pivot row re-sums from its recorded relator expression
-    for vec, expr in ranked._eliminate().values():
+    # every pivot row re-sums from its recorded relator expression,
+    # den * pivot = sum(expr * relators)
+    exprs = ranked._expressions()
+    for lead, vec in ranked._eliminate().items():
+        assert lead == min(vec) and vec[lead] > 0 and gcd(*vec.values()) == 1
+        den, expr = exprs[lead]
         total = LinComb.zero()
         for rid, x in expr.items():
-            total = total + by_id[rid].scale(x)
+            total = total + by_id[rid].scale(Fraction(x, den))
         assert total == _lincomb(keys, vec)
     targets = [r.element for r in relators]
     targets += [_lincomb(keys, row) for row in _random_rows(rng, 4, ncols, density=0.6)]

@@ -38,7 +38,6 @@ from linkhom.spaces import (
     check_budget,
     chi,
     chi_lincomb,
-    dim_knot_chord,
     dim_space,
     monomial_str,
     polynomial_dimension,
@@ -83,7 +82,7 @@ def test_bounded_side_agrees_with_forest_side(k, d):
 
 @pytest.mark.parametrize("d,dim", [(1, 0), (2, 1), (3, 1)])
 def test_knot_chord_dims(d, dim):
-    assert dim_knot_chord(d).dim == dim
+    assert dim_space("chord", None, d).dim == dim
 
 
 def test_space_report_doc_shape():
