@@ -48,7 +48,6 @@ from .qlinalg import (
 from .relators import (
     Relator,
     four_t_relators,
-    graft,
     ihx_relators,
     link1_relators,
     one_t_relators,
@@ -90,7 +89,7 @@ __all__ = [
     "MembershipCertificate", "SparseRationalMatrix", "certificate_doc",
     "certificate_from_doc", "relator_matrix", "verify_certificate",
     # relators
-    "Relator", "four_t_relators", "graft", "ihx_relators", "link1_relators",
+    "Relator", "four_t_relators", "ihx_relators", "link1_relators",
     "one_t_relators", "star_relator", "star_relators", "stu_relators",
     # spaces
     "SpaceReport", "chi", "chi_lincomb", "dim_space",

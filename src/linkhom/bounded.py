@@ -4,10 +4,10 @@ A bounded diagram is a unitrivalent graph whose legs are attached to k
 vertical segments at ordered positions (top to bottom).  The graph is stored
 as a diagram whose leg colors are the segment numbers; the attachment orders
 live alongside it.  Canonical keys recolor every leg with its (segment,
-position) slot, which makes all leg colors distinct, so a bounded diagram
-without a cycle takes the linear-time forest labeling of diagrams.py even
+position) slot, which makes all leg colors distinct, so every bounded
+diagram without a cycle has a key (the forest labeling of diagrams.py) even
 when it repeats a segment within a component.  Whether it is boring is still
-decided by segment colors.
+decided by segment colors, and boring input is 0 before it is keyed.
 """
 
 from __future__ import annotations
@@ -87,17 +87,12 @@ def bounded_from_key(key: bytes) -> BoundedDiagram:
     return BoundedDiagram(k, graph, tuple(order))
 
 
-def is_boring_bounded(B: BoundedDiagram) -> bool:
-    """Two legs of one component on one segment, or a cycle."""
-    return diagrams.is_boring(B.graph)
-
-
-def inject_bounded(B: BoundedDiagram, coeff=1, *, homotopy=True) -> LinComb:
-    if homotopy and is_boring_bounded(B):
+def inject_bounded(B: BoundedDiagram, coeff=1) -> LinComb:
+    # boring means two legs of one component on one segment, or a cycle: it
+    # is decided by segment colors, while the key uses slot colors
+    if diagrams.is_boring(B.graph):
         return LinComb.zero()
     sk = canonicalize_bounded(B)
-    if sk.sign == 0:
-        return LinComb.zero()
     return LinComb.term(sk.key, Fraction(coeff) * sk.sign)
 
 
@@ -113,9 +108,7 @@ def enum_bounded(k: int, d: int) -> list:
             by_color[c].append(v)
         pools = [itertools.permutations(by_color[s]) for s in range(1, k + 1)]
         for order in itertools.product(*pools):
-            bk = canonicalize_bounded(BoundedDiagram(k, F, tuple(order)))
-            if bk.sign != 0:
-                found.add(bk.key)
+            found.add(canonicalize_bounded(BoundedDiagram(k, F, tuple(order))).key)
     return [SignedCanonicalKey(key, 1) for key in sorted(found)]
 
 

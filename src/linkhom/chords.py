@@ -46,13 +46,18 @@ def rotate(c: ChordDiagram, r: int) -> ChordDiagram:
 
 
 def chord_key(c: ChordDiagram) -> bytes:
-    """Canonical byte key: the least pairing over all rotations.
+    """Canonical byte key: the least pairing over all rotations."""
+    return pairing_key(c.pairing)
+
+
+def pairing_key(p: tuple) -> bytes:
+    """chord_key of a pairing that is known to be valid, without building a
+    ChordDiagram.
 
     The rotation that starts at point r begins with the forward gap
-    (pairing[r] - r) % n, so only rotations starting at a point of least gap
-    can be least; those are compared as plain tuples.
+    (p[r] - r) % n, so only rotations starting at a point of least gap can be
+    least; those are compared as plain tuples.
     """
-    p = c.pairing
     n = len(p)
     best = ()
     if n:
@@ -62,7 +67,7 @@ def chord_key(c: ChordDiagram) -> bytes:
             tuple((p[(i + r) % n] - r) % n for i in range(n))
             for r in range(n) if gaps[r] == low
         )
-    return bytes([_TAG_CHORD, c.d, *best])
+    return bytes([_TAG_CHORD, n // 2, *best])
 
 
 def chord_from_key(key: bytes) -> ChordDiagram:
@@ -104,46 +109,6 @@ def has_isolated_chord(c: ChordDiagram) -> bool:
 
 
 # -- surgeries ------------------------------------------------------------
-
-
-def delete_point(c: ChordDiagram, p: int):
-    """Remove point p; return the leftover configuration plus the shifted
-    indices of p's old neighbor (p+1) and of its partner's partner chord end.
-
-    The leftover is (pairs among surviving relabeled points, dangling index)
-    ready for reinsert.
-    """
-    n = len(c.pairing)
-    q, r = (p + 1) % n, c.pairing[(p + 1) % n]
-    dangling = c.pairing[p]
-
-    def shifted(x):
-        return x - 1 if x > p else x
-
-    pairs = [
-        (shifted(i), shifted(j))
-        for i, j in c.chords()
-        if p not in (i, j)
-    ]
-    return (pairs, shifted(dangling)), shifted(q), shifted(r)
-
-
-def reinsert(rest, pos: int) -> ChordDiagram:
-    """Insert the moving endpoint before index pos (or at the end) and close
-    its chord to the dangling point."""
-    pairs, dangling = rest
-    n = 2 * len(pairs) + 2
-
-    def lifted(x):
-        return x if x < pos else x + 1
-
-    pairing = [0] * n
-    for a, b in pairs:
-        a, b = lifted(a), lifted(b)
-        pairing[a], pairing[b] = b, a
-    a, b = pos, lifted(dangling)
-    pairing[a], pairing[b] = b, a
-    return ChordDiagram(tuple(pairing))
 
 
 def restrict(c: ChordDiagram, chord_indices) -> ChordDiagram:

@@ -21,7 +21,7 @@ from . import interchange
 from . import relators as rel
 from . import spaces
 from .bases import enum_forests
-from .diagrams import canonical_diagram, canonicalize, inject
+from .diagrams import canonical_diagram, inject
 from .errors import BudgetError, DiagramError, ParseError, UsageError, VerificationError
 from .lincomb import LinComb, doc_field, terms_doc
 from .qlinalg import certificate_doc, certificate_from_doc, relator_matrix
@@ -64,12 +64,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_dim(args) -> int:
     report = spaces.dim_space(args.space, args.k, args.d, _budget(args))
-    if args.json:
-        doc = report.to_doc()
-        del doc["seconds"]
-        print(_dump(doc))
-    else:
-        print(report.dim)
+    print(_dump(report.to_doc()) if args.json else report.dim)
     return EXIT_OK
 
 

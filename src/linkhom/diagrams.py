@@ -4,9 +4,12 @@ A diagram is a graph whose vertices are either univalent legs carrying a color
 in 1..k or internal trivalent vertices carrying a cyclic order (a rotation) of
 their three incident half-edges.  Reversing a rotation negates the diagram, so
 a diagram's canonical form is a byte key naming its isomorphism class together
-with a sign: +1 or -1 relating the input orientation to the canonical one, or
-0 when some automorphism reverses an odd number of rotations (the diagram is
-then killed by antisymmetry).
+with a sign, +1 or -1, relating the input orientation to the canonical one.
+
+Keys exist only for forests whose trees have distinct leg colors: every
+diagram the homotopy quotient keeps, and every slot-colored bounded diagram
+without a cycle.  Any other diagram is boring (zero in the quotient), so
+inject maps it to 0 before keying and canonicalize rejects it.
 
 A key is a tag byte, k, the vertex count and the edge count, then the vertex
 colors in canonical label order (0 for internal vertices), then the edges as
@@ -14,20 +17,13 @@ sorted label pairs.  The representative rebuilt from a key puts each edge's
 even half-edge at its lower label and takes every rotation in ascending
 half-edge order; the sign compares the input with that representative.
 
-Labels come from one of two methods.  A forest whose trees have distinct leg
-colors -- every diagram the homotopy quotient keeps, and every slot-colored
-bounded diagram without a cycle -- is labeled in linear time, after Aho,
-Hopcroft and Ullman's rooted tree isomorphism: each tree is rooted at its
-least-colored leg, children are ordered by the least leg color below them,
-and the trees' preorders are concatenated in the order of their preorder color
-sequences.  Such a sequence determines its tree (it is the tree's Polish
-notation), so trees with equal sequences are interchangeable, and since a
-tree with distinct leg colors has no nontrivial automorphism the sign is
-never 0.  Any other diagram (one with a cycle, or a component repeating a leg
-color, which only non-homotopy callers canonicalize) goes through a search:
-vertices are split into cells by iterated neighborhood refinement, and every
-ordering of every cell is tried for the least edge list.  The search is
-factorial in the cell sizes.
+Labels come in linear time, after Aho, Hopcroft and Ullman's rooted tree
+isomorphism: each tree is rooted at its least-colored leg, children are
+ordered by the least leg color below them, and the trees' preorders are
+concatenated in the order of their preorder color sequences.  Such a sequence
+determines its tree (it is the tree's Polish notation), so trees with equal
+sequences are interchangeable, and since a tree with distinct leg colors has
+no nontrivial automorphism the sign is never 0.
 
 Half-edge convention: edge e owns half-edges 2e and 2e+1, mate(h) = h ^ 1, and
 every half-edge is incident to exactly one vertex.  All values are immutable;
@@ -36,7 +32,6 @@ operations build new diagrams.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -132,9 +127,9 @@ class Diagram:
         return tuple(comps)
 
     @cached_property
-    def _colored_forest(self) -> bool:
+    def _defect(self):
         # inject tests boringness and then canonicalizes: one scan serves both
-        return _is_colored_forest(self, self.colors)
+        return _forest_defect(self, self.colors)
 
     def degree(self) -> int:
         return self.n // 2
@@ -224,8 +219,9 @@ def graft_with_map(E: Diagram, u: int, w: int):
 
     Legs u and w are deleted, their stems meet a new trivalent vertex whose
     rotation is (stem of u, stem of w, new leg), and the third edge ends in a
-    new leg of the same color.  Returns the new diagram, the old-to-new vertex
-    map for the surviving vertices, and the new leaf's id.
+    new leg of the same color.  Degree is preserved, and swapping u and w
+    negates the class.  Returns the new diagram, the old-to-new vertex map for
+    the surviving vertices, and the new leaf's id.
     """
     if u == w or E.colors[u] is None or E.colors[w] is None:
         raise DiagramError("graft needs two distinct legs")
@@ -261,21 +257,22 @@ def first_betti(D: Diagram, component) -> int:
     return e - len(comp) + 1
 
 
-def _is_colored_forest(D: Diagram, colors) -> bool:
-    """True when every component is a tree whose legs carry distinct colors."""
+def _forest_defect(D: Diagram, colors):
+    """Why D, with these leg colors, is not a forest of trees with distinct
+    leg colors, or None when it is one."""
     comps = D.components()
     if D.n_edges != D.n - len(comps):       # a forest has E = V - #components
-        return False
+        return "a cycle"
     for comp in comps:
         legs = [colors[v] for v in comp if colors[v] is not None]
         if len(legs) != len(set(legs)):
-            return False
-    return True
+            return "a repeated leg color"
+    return None
 
 
 def is_boring(D: Diagram) -> bool:
     """True when some component repeats a leg color or has a cycle."""
-    return not D._colored_forest
+    return D._defect is not None
 
 
 # -- canonical form --------------------------------------------------------
@@ -297,131 +294,10 @@ _TAG_UNITRI = 0x55
 KEY_BYTE_MAX = 255
 
 
-def _refined_cells(D: Diagram):
-    """Ordered partition of vertices by iterated neighborhood refinement.
-
-    Cell order is isomorphism invariant: ranks are assigned by sorting the
-    signature values themselves, never by first encounter.
-    """
-    n = D.n
-    if n == 0:
-        return []
-    labels = [0 if c is None else c for c in D.colors]
-    order = sorted(set(labels))
-    rank = [order.index(l) for l in labels]
-    while True:
-        sigs = [
-            (rank[v], tuple(sorted(rank[D.vertex_of(mate(h))] for h in D.incidence[v])))
-            for v in range(n)
-        ]
-        order = sorted(set(sigs))
-        pos = {s: i for i, s in enumerate(order)}
-        new_rank = [pos[sigs[v]] for v in range(n)]
-        stable = len(order) == len(set(rank))
-        rank = new_rank
-        if stable:
-            break
-    cells = {}
-    for v in range(n):
-        cells.setdefault(rank[v], []).append(v)
-    return [cells[r] for r in sorted(cells)]
-
-
-def _edge_tuple(D: Diagram, pi):
-    pairs = []
-    for e in range(D.n_edges):
-        u, v = D.edge_ends(e)
-        a, b = pi[u], pi[v]
-        pairs.append((a, b) if a <= b else (b, a))
-    pairs.sort()
-    return tuple(pairs)
-
-
 def _rotation_parity(a, b, c) -> int:
     """+1 when the cyclic order (a, b, c) is the ascending class."""
     x, y, z = sorted((a, b, c))
     return 1 if (a, b, c) in ((x, y, z), (y, z, x), (z, x, y)) else -1
-
-
-def _signs_for_labeling(D: Diagram, pi, slot_groups):
-    """Yield orientation parities over all edge tie-orders and loop sides."""
-    base_ids = {}
-    tie_choices = []
-    loop_edges = []
-    for slots, edges in slot_groups:
-        if len(edges) == 1:
-            e, s = edges[0], slots[0]
-            u, v = D.edge_ends(e)
-            if u == v:
-                loop_edges.append((e, s))
-            elif pi[u] < pi[v]:
-                base_ids[2 * e], base_ids[2 * e + 1] = 2 * s, 2 * s + 1
-            else:
-                base_ids[2 * e], base_ids[2 * e + 1] = 2 * s + 1, 2 * s
-        else:
-            tie_choices.append((slots, edges))
-
-    internal = [v for v in range(D.n) if D.colors[v] is None]
-
-    def emit(ids):
-        sign = 1
-        for v in internal:
-            a, b, c = (ids[h] for h in D.incidence[v])
-            sign *= _rotation_parity(a, b, c)
-        return sign
-
-    def assign(idx, ids):
-        if idx < len(tie_choices):
-            slots, edges = tie_choices[idx]
-            for perm in itertools.permutations(edges):
-                nxt = dict(ids)
-                more_loops = []
-                for e, s in zip(perm, slots):
-                    u, v = D.edge_ends(e)
-                    if u == v:
-                        more_loops.append((e, s))
-                    elif pi[u] < pi[v]:
-                        nxt[2 * e], nxt[2 * e + 1] = 2 * s, 2 * s + 1
-                    else:
-                        nxt[2 * e], nxt[2 * e + 1] = 2 * s + 1, 2 * s
-                yield from assign_loops(more_loops, nxt, idx + 1)
-        else:
-            yield emit(ids)
-
-    def assign_loops(pending, ids, idx):
-        if not pending:
-            yield from assign(idx, ids)
-            return
-        (e, s), rest = pending[0], pending[1:]
-        for flip in (False, True):
-            nxt = dict(ids)
-            if flip:
-                nxt[2 * e], nxt[2 * e + 1] = 2 * s + 1, 2 * s
-            else:
-                nxt[2 * e], nxt[2 * e + 1] = 2 * s, 2 * s + 1
-            yield from assign_loops(rest, nxt, idx)
-
-    yield from assign_loops(loop_edges, base_ids, 0)
-
-
-def _slot_groups(D: Diagram, pi, pairs):
-    """Group edges by their canonical endpoint pair, with their slot ranges."""
-    by_pair = {}
-    for e in range(D.n_edges):
-        u, v = D.edge_ends(e)
-        a, b = pi[u], pi[v]
-        by_pair.setdefault((a, b) if a <= b else (b, a), []).append(e)
-    groups = []
-    slot = 0
-    seen = set()
-    for pair in pairs:
-        if pair in seen:
-            continue
-        seen.add(pair)
-        edges = by_pair[pair]
-        groups.append((list(range(slot, slot + len(edges))), edges))
-        slot += len(edges)
-    return groups
 
 
 def _encode(k, desc, pairs) -> bytes:
@@ -472,53 +348,20 @@ def _forest_key(D: Diagram, colors, k) -> SignedCanonicalKey:
     return SignedCanonicalKey(_encode(k, desc, [(a, b) for a, b, _ in ends]), sign)
 
 
-def _search_key(D: Diagram) -> SignedCanonicalKey:
-    """Canonical key by trying every ordering of every refined cell."""
-    cells = _refined_cells(D)
-    best = None
-    best_pis = []
-    for choice in itertools.product(*(itertools.permutations(c) for c in cells)):
-        pi = [0] * D.n
-        pos = 0
-        for cell in choice:
-            for v in cell:
-                pi[v] = pos
-                pos += 1
-        pairs = _edge_tuple(D, pi)
-        if best is None or pairs < best:
-            best, best_pis = pairs, [pi]
-        elif pairs == best:
-            best_pis.append(pi)
-
-    desc = [0] * D.n
-    if best_pis:
-        pi0 = best_pis[0]
-        for v in range(D.n):
-            desc[pi0[v]] = D.colors[v] or 0
-    key = _encode(D.k, desc, best or ())
-
-    signs = set()
-    for pi in best_pis:
-        for s in _signs_for_labeling(D, pi, _slot_groups(D, pi, best)):
-            signs.add(s)
-            if len(signs) == 2:
-                return SignedCanonicalKey(key, 0)
-    return SignedCanonicalKey(key, signs.pop() if signs else 1)
-
-
 def canonicalize(D: Diagram, colors=None, k=None) -> SignedCanonicalKey:
-    """Canonical byte key and orientation sign of a diagram.
+    """Canonical byte key and orientation sign (+1 or -1) of a forest whose
+    trees have distinct leg colors; any other diagram raises DiagramError.
 
     colors and k, when given, stand in for the leg colors and their bound;
     bounded keys pass each leg's slot color this way.
     """
     if colors is None:
-        if D._colored_forest:
-            return _forest_key(D, D.colors, D.k)
-        return _search_key(D)
-    if _is_colored_forest(D, colors):
-        return _forest_key(D, colors, k)
-    return _search_key(Diagram(k, tuple(colors), D.incidence))
+        colors, k, defect = D.colors, D.k, D._defect
+    else:
+        defect = _forest_defect(D, colors)
+    if defect:
+        raise DiagramError(f"no canonical key: the diagram has {defect}")
+    return _forest_key(D, colors, k)
 
 
 def canonical_diagram(key: bytes) -> Diagram:
@@ -533,12 +376,10 @@ def canonical_diagram(key: bytes) -> Diagram:
     return build(k, colors, edges)
 
 
-def inject(D: Diagram, coeff=1, *, homotopy=True) -> LinComb:
-    """Canonical image of a diagram: 0 when antisymmetry-null or, in homotopy
-    mode, boring; otherwise its signed canonical term."""
-    if homotopy and is_boring(D):
+def inject(D: Diagram, coeff=1) -> LinComb:
+    """Image of a diagram in the homotopy quotient: 0 when boring, otherwise
+    its signed canonical term."""
+    if is_boring(D):
         return LinComb.zero()
     sk = canonicalize(D)
-    if sk.sign == 0:
-        return LinComb.zero()
     return LinComb.term(sk.key, Fraction(coeff) * sk.sign)

@@ -30,18 +30,7 @@ class Relator:
     element: LinComb
 
 
-# -- graft and the link relation -------------------------------------------
-
-
-def graft(E: Diagram, u: int, w: int) -> Diagram:
-    """Join two same-colored legs at a new internal vertex with a fresh leg.
-
-    The two legs are deleted, their stems meet a new trivalent vertex whose
-    rotation is (stem of u, stem of w, new leg), and the third edge ends in a
-    new leg of the same color.  Degree is preserved; swapping u and w gives
-    the same key with opposite sign.
-    """
-    return graft_with_map(E, u, w)[0]
+# -- the link relation ---------------------------------------------------------
 
 
 def star_relator(E: Diagram, u: int, name: str) -> Relator:
@@ -54,7 +43,7 @@ def star_relator(E: Diagram, u: int, name: str) -> Relator:
     element = LinComb.zero()
     for w, c in E.legs():
         if w != u and c == color:
-            element = element + inject(graft(E, u, w))
+            element = element + inject(graft_with_map(E, u, w)[0])
     rid = f"star:{name}:{u}"
     return Relator(rid, element)
 
@@ -175,18 +164,26 @@ def four_t_relator(c: ch.ChordDiagram, p: int, name: str) -> Relator:
     """Four-term relation at the adjacent endpoint pair (p, p+1); name is c's
     chord key in hex.
 
-    The two hops of the endpoint at p, across the near end of the other chord
-    and across its far end, cancel:
-    (before near) - (after near) + (before far) - (after far) = 0.
+    The endpoint at p hops across the near end q = p+1 of the other chord and
+    across its far end r, and the four placements cancel:
+    (before q) - (after q) + (before r) - (after r) = 0.
     """
-    n = 2 * c.d
+    pairing = c.pairing
+    n = len(pairing)
     q = (p + 1) % n
-    if c.pairing[p] == q:
+    if pairing[p] == q:
         raise DiagramError("endpoints belong to one chord")
-    rest, q_idx, r_idx = ch.delete_point(c, p)
-    hops = ((q_idx, 1), (q_idx + 1, -1), (r_idx, 1), (r_idx + 1, -1))
-    element = LinComb([(ch.chord_key(ch.reinsert(rest, pos)), sign) for pos, sign in hops])
-    return Relator(f"4t:{name}:{p}", element)
+    rest = [x for x in range(n) if x != p]      # the circle without p
+    terms = []
+    for anchor in (q, pairing[q]):
+        i = anchor - (anchor > p)
+        for pos, sign in ((i, 1), (i + 1, -1)):
+            order = rest[:pos] + [p] + rest[pos:]
+            at = [0] * n
+            for j, x in enumerate(order):
+                at[x] = j
+            terms.append((ch.pairing_key(tuple(at[pairing[x]] for x in order)), sign))
+    return Relator(f"4t:{name}:{p}", LinComb(terms))
 
 
 def four_t_relators(basis) -> list:

@@ -9,7 +9,6 @@ and four-term relations.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
@@ -74,12 +73,6 @@ class SpaceReport:
     relator_counts: dict = field(default_factory=dict)
     rank: int = 0
     dim: int = 0
-    seconds: float = 0.0
-
-    @property
-    def label(self) -> str:
-        where = f"({self.k})" if self.k is not None else ""
-        return f"{self.space}{where}_{self.d}"
 
     def to_doc(self) -> dict:
         return {
@@ -90,7 +83,6 @@ class SpaceReport:
             "relators": dict(sorted(self.relator_counts.items())),
             "rank": self.rank,
             "dim": self.dim,
-            "seconds": round(self.seconds, 3),
         }
 
 
@@ -129,7 +121,6 @@ def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
     if space not in SPACES:
         raise ValueError(f"unknown space {space!r}")
     check_budget(space, k, d, budget)
-    t0 = time.perf_counter()
     basis = space_basis(space, k, d)
     keys = _basis_keys(space, basis)
     groups = _relators_for(space, k, d, basis)
@@ -143,7 +134,6 @@ def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
         rank=matrix.rank(),
     )
     report.dim = report.basis_size - report.rank
-    report.seconds = time.perf_counter() - t0
     return report
 
 
@@ -261,7 +251,7 @@ def monomial_str(mono) -> str:
 
 def chi(D: Diagram, k: int) -> LinComb:
     """Average of all leg attachments, one permutation per color, divided by
-    the number of attachments.  Boring or AS-null input maps to 0."""
+    the number of attachments.  Boring input maps to 0."""
     if D.k != k:
         raise DiagramError("color bound mismatch")
     if is_boring(D):

@@ -6,7 +6,8 @@ Core claims:
       segment(1,2) is exactly +-(1+m) times the original diagram
     - IHX relators over the four-leaf trees have rank 1, leaving the
       two-dimensional space a Lyndon count predicts
-    - 4T relators at degree 2 vanish identically and never exceed 4 terms
+    - 4T relators at degree 2 vanish identically and never exceed 4 terms;
+      one degree-3 relator is checked term by term against a hand computation
     - 1T relators are supported on diagrams with an isolated chord
     - STU and link1 relators stay inside their degree's bounded basis
 """
@@ -18,21 +19,23 @@ import pytest
 
 from linkhom.bases import enum_forests
 from linkhom.bounded import enum_bounded
-from linkhom.chords import chord_key, enum_chord, has_isolated_chord, chord_from_key
+from linkhom.chords import ChordDiagram, chord_key, enum_chord, has_isolated_chord, chord_from_key
 from linkhom.diagrams import (
     canonicalize,
     disjoint_union,
     empty,
+    graft_with_map,
     inject,
     segment,
     tripod,
 )
 from linkhom.errors import DiagramError
+from linkhom.lincomb import LinComb
 from linkhom.qlinalg import relator_matrix
 from linkhom.relators import (
     count_segments,
+    four_t_relator,
     four_t_relators,
-    graft,
     ihx_relators,
     link1_relators,
     one_t_relators,
@@ -78,13 +81,13 @@ def _lyndon_count(n):
 def test_graft_antisymmetric():
     E = _union([segment(1, 3, 3), segment(1, 2, 3)], 3)
     u, w = [v for v, c in E.legs() if c == 1]
-    assert inject(graft(E, u, w)) == -inject(graft(E, w, u))
+    assert inject(graft_with_map(E, u, w)[0]) == -inject(graft_with_map(E, w, u)[0])
 
 
 def test_graft_of_two_segments_is_tripod():
     E = _union([segment(1, 3, 3), segment(1, 2, 3)], 3)
     u, w = [v for v, c in E.legs() if c == 1]
-    G = graft(E, u, w)
+    G, _, _ = graft_with_map(E, u, w)
     assert canonicalize(G).key == canonicalize(tripod(1, 2, 3, 3)).key
 
 
@@ -93,13 +96,13 @@ def test_graft_requires_matching_leg_colors():
     u = next(v for v, c in E.legs() if c == 2)
     w = next(v for v, c in E.legs() if c == 3)
     with pytest.raises(DiagramError):
-        graft(E, u, w)
+        graft_with_map(E, u, w)
 
 
 def test_graft_preserves_degree():
     E = _union([segment(1, 3, 3), segment(1, 2, 3)], 3)
     u, w = [v for v, c in E.legs() if c == 1]
-    assert graft(E, u, w).degree() == E.degree()
+    assert graft_with_map(E, u, w)[0].degree() == E.degree()
 
 
 # -- Star relator -----------------------------------------------------------------
@@ -168,6 +171,33 @@ def test_4t_relators_have_at_most_four_unit_terms(d):
         for key, coeff in terms:
             assert key in basis_keys
             assert abs(coeff) <= 2   # merged same-class hops can double up
+
+
+def _chords(*pairs):
+    """Chord diagram from its chords as endpoint pairs."""
+    pairing = [0] * (2 * len(pairs))
+    for a, b in pairs:
+        pairing[a], pairing[b] = b, a
+    return ChordDiagram(tuple(pairing))
+
+
+def test_4t_relator_by_hand_at_degree_3():
+    # three mutually crossing chords 03, 14, 25; the endpoint at 0 hops
+    # across q = 1 and across r = 4, the far end of q's chord
+    c = _chords((0, 3), (1, 4), (2, 5))
+    r = four_t_relator(c, 0, chord_key(c).hex())
+    assert r.rid == "4t:4303030405000102:0"
+    before_q = c
+    after_q = _chords((1, 3), (0, 4), (2, 5))      # circle order 1 0 2 3 4 5
+    before_r = _chords((2, 3), (0, 4), (1, 5))     # circle order 1 2 3 0 4 5
+    after_r = _chords((2, 4), (0, 3), (1, 5))      # circle order 1 2 3 4 0 5
+    # both "after" placements give one chord crossing two parallel ones
+    assert chord_key(after_q) == chord_key(after_r)
+    assert has_isolated_chord(before_r)
+    want = (LinComb.term(chord_key(before_q)) - LinComb.term(chord_key(after_q))
+            + LinComb.term(chord_key(before_r)) - LinComb.term(chord_key(after_r)))
+    assert r.element == want
+    assert sorted(coeff for _, coeff in r.element.items()) == [-2, 1, 1]
 
 
 def test_1t_relators_mark_isolated_chords():
