@@ -58,9 +58,7 @@ from .relators import (
 from .spaces import (
     SpaceReport,
     chi,
-    chi_lincomb,
     dim_space,
-    polynomial_dimension,
     reduce_to_monomials,
     verify_main_theorem,
 )
@@ -92,6 +90,5 @@ __all__ = [
     "Relator", "four_t_relators", "ihx_relators", "link1_relators",
     "one_t_relators", "star_relator", "star_relators", "stu_relators",
     # spaces
-    "SpaceReport", "chi", "chi_lincomb", "dim_space",
-    "polynomial_dimension", "reduce_to_monomials", "verify_main_theorem",
+    "SpaceReport", "chi", "dim_space", "reduce_to_monomials", "verify_main_theorem",
 ]

@@ -38,9 +38,25 @@ def _dump(doc) -> str:
 
 
 def _budget(args):
-    if args.budget_k or args.budget_d:
-        return (args.budget_k or 10**9, args.budget_d or 10**9)
-    return None
+    """The (k, d) budget the flags set, None without either; a flag left out
+    puts no bound on its side."""
+    bk, bd = args.budget_k, args.budget_d
+    for flag, value in (("--budget-k", bk), ("--budget-d", bd)):
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} {value} is negative")
+    if bk is None and bd is None:
+        return None
+    return (10**9 if bk is None else bk, 10**9 if bd is None else bd)
+
+
+def _read(path) -> str:
+    """The text of an input file; an unreadable file is a parse error naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text at byte {exc.start}") from None
 
 
 def _cmd_enumerate(args) -> int:
@@ -99,17 +115,18 @@ def _doc_int(doc, name, least):
 
 
 def _cmd_check_cert(args) -> int:
-    doc = json.loads(Path(args.cert).read_text())
+    budget = _budget(args)
+    doc = json.loads(_read(args.cert))
     k, d = _doc_int(doc, "k", 1), _doc_int(doc, "d", 0)
     cert = certificate_from_doc(doc)
-    spaces.check_budget("bhl", k, d, _budget(args))
+    spaces.check_budget("bhl", k, d, budget)
     spaces.check_main_certificate(cert, k, d)
     print(_dump({"cert": Path(args.cert).name, "ok": True}) if args.json else "ok")
     return EXIT_OK
 
 
 def _cmd_reduce(args) -> int:
-    D = interchange.parse(Path(args.input).read_text())
+    D = interchange.parse(_read(args.input))
     if D.k != args.k:
         raise ParseError(f"diagram has k={D.k}, expected {args.k}")
     L = inject(D)
@@ -128,7 +145,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_chi(args) -> int:
-    D = interchange.parse(Path(args.input).read_text())
+    D = interchange.parse(_read(args.input))
     if D.k != args.k:
         raise ParseError(f"diagram has k={D.k}, expected {args.k}")
     image = spaces.chi(D, args.k)
@@ -144,7 +161,7 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_lk(args) -> int:
-    text = Path(args.input).read_text()
+    text = _read(args.input)
     L = gauss.parse_pd(text) if args.pd else gauss.parse_gauss(text)
     matrix = gauss.linking_matrix(L)
     fuzz_report = None
@@ -310,7 +327,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ParseError, DiagramError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParseError, DiagramError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -104,7 +104,16 @@ def terms_doc(lc: LinComb) -> list:
 
 
 def lincomb_from_doc(doc) -> LinComb:
-    return LinComb({bytes.fromhex(t["key"]): Fraction(t["coeff"]) for t in doc})
+    """Inverse of terms_doc: a JSON array naming each key at most once."""
+    if not isinstance(doc, list):
+        raise TypeError("terms must be a JSON array")
+    terms = {}
+    for t in doc:
+        key = bytes.fromhex(t["key"])
+        if key in terms:
+            raise ValueError(f"key {t['key']} is listed twice")
+        terms[key] = Fraction(t["coeff"])
+    return LinComb(terms)
 
 
 def doc_field(doc, name, parse):

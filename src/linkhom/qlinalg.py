@@ -234,6 +234,8 @@ def certificate_doc(cert: MembershipCertificate) -> dict:
 
 
 def _combination_from_doc(terms) -> tuple:
+    if not isinstance(terms, list):
+        raise TypeError("terms must be a JSON array")
     out = []
     for t in terms:
         if not isinstance(t["relator"], str):

@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from . import bounded as bnd
 from . import chords as ch
 from . import relators as rel
 from .bases import enum_forests
-from .diagrams import KEY_BYTE_MAX, Diagram, canonical_diagram, is_boring
+from .diagrams import KEY_BYTE_MAX, Diagram, canonical_diagram, canonicalize, is_boring
 from .errors import BudgetError, DiagramError, UsageError, VerificationError
 from .lincomb import LinComb
 from .qlinalg import MembershipCertificate, relator_matrix, verify_certificate
@@ -137,21 +137,15 @@ def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
     return report
 
 
-def polynomial_dimension(k: int, d: int) -> int:
-    """Degree-d dimension of a polynomial ring on C(k,2) degree-one generators."""
-    return comb(comb(k, 2) + d - 1, d)
-
-
 # -- main triviality verification ---------------------------------------------
 
 
 def relation_matrix_bhl(k: int, d: int):
-    """The (star + ihx) relator matrix over the degree-d forest basis, with
-    the relators indexed by id for certificate replay."""
+    """The (star + ihx) relator matrix over the degree-d forest basis, and
+    the basis."""
     basis = space_basis("bhl", k, d)
     relators = [r for rs in _relators_for("bhl", k, d, basis).values() for r in rs]
-    matrix = relator_matrix(_basis_keys("bhl", basis), relators)
-    return matrix, {r.rid: r.element for r in relators}, basis
+    return relator_matrix(_basis_keys("bhl", basis), relators), basis
 
 
 def is_compound(D: Diagram) -> bool:
@@ -166,7 +160,7 @@ def verify_main_theorem(k: int, max_degree: int, budget=None) -> list:
     check_budget("bhl", k, max_degree, budget)
     certs = []
     for d in range(1, max_degree + 1):
-        matrix, _, basis = relation_matrix_bhl(k, d)
+        matrix, basis = relation_matrix_bhl(k, d)
         for sk in basis:
             D = canonical_diagram(sk.key)
             if not is_compound(D):
@@ -181,25 +175,73 @@ def verify_main_theorem(k: int, max_degree: int, budget=None) -> list:
     return certs
 
 
+def _basis_forest(key: bytes, k: int, d: int):
+    """The canonical representative of key when key names a basis forest of
+    bhl(k, d), else None.
+
+    Every forest of trees with distinct leg colors on k colors and 2d
+    vertices is a basis forest, and canonicalize accepts exactly those; a key
+    names one when it rebuilds to a diagram whose key it is, with sign +1.
+    """
+    if len(key) < 3 or key[1] != k or key[2] != 2 * d:
+        return None
+    try:
+        D = canonical_diagram(key)
+        sk = canonicalize(D)
+    except DiagramError:
+        return None
+    return D if sk.key == key and sk.sign == 1 else None
+
+
+def _parse_relator_id(rid: str):
+    """(kind, key, index) of a star or IHX id spelled exactly as the relators
+    spell one, else None."""
+    parts = rid.split(":")
+    if len(parts) != 3 or parts[0] not in ("star", "ihx"):
+        return None
+    kind, name, index = parts
+    try:
+        key, i = bytes.fromhex(name), int(index)
+    except ValueError:
+        return None
+    # fromhex and int also take uppercase, whitespace, signs, underscores and
+    # leading zeros; only the spelling that formats back is the relator's id
+    return (kind, key, i) if i >= 0 and f"{kind}:{key.hex()}:{i}" == rid else None
+
+
+def relator_by_id(rid: str, k: int, d: int) -> LinComb:
+    """The element of the bhl(k, d) relator named rid, rebuilt from the id
+    alone: star:<hex>:<u> is the star relator at leg u of the basis forest
+    with key <hex>, ihx:<hex>:<e> the IHX relator at its internal edge e.
+    Any other id raises VerificationError naming it.
+    """
+    parsed = _parse_relator_id(rid)
+    if parsed and (D := _basis_forest(parsed[1], k, d)) is not None:
+        kind, key, i = parsed
+        if kind == "star" and i < D.n and D.colors[i] is not None:
+            return rel.star_relator(D, i, key.hex()).element
+        if kind == "ihx" and i in rel.internal_edges(D):
+            return rel.ihx_relator(D, i, key.hex()).element
+    raise VerificationError(f"unknown relator id {rid!r}")
+
+
 def check_main_certificate(cert: MembershipCertificate, k: int, d: int) -> None:
     """Re-check one certificate of verify_main_theorem against its claim.
 
     The target must be a single compound basis forest of degree d with
     coefficient 1, the combination must name relators of that degree and
-    re-sum to the target, and the residual must be zero.  Raises
+    re-sum to the target, and the residual must be zero.  Only the relators
+    the combination names are rebuilt; nothing is enumerated.  Raises
     VerificationError otherwise.
     """
-    _, by_id, basis = relation_matrix_bhl(k, d)
-    keys = {sk.key for sk in basis}
     terms = cert.target.items()
-    if len(terms) != 1 or terms[0][0] not in keys or terms[0][1] != 1:
+    D = _basis_forest(terms[0][0], k, d) if len(terms) == 1 and terms[0][1] == 1 else None
+    if D is None:
         raise VerificationError(
             f"target is not one basis forest of bhl(k={k}, d={d}) with coefficient 1")
-    if not is_compound(canonical_diagram(terms[0][0])):
+    if not is_compound(D):
         raise VerificationError(f"target forest {terms[0][0].hex()} has only segment components")
-    unknown = sorted({rid for rid, _ in cert.combination} - by_id.keys())
-    if unknown:
-        raise VerificationError(f"unknown relator id {unknown[0]!r}")
+    by_id = {rid: relator_by_id(rid, k, d) for rid in sorted({rid for rid, _ in cert.combination})}
     if not verify_certificate(cert, by_id):
         raise VerificationError("combination plus residual does not re-sum to the target")
     if not cert.is_member:
@@ -267,11 +309,4 @@ def chi(D: Diagram, k: int) -> LinComb:
     for order in itertools.product(*pools):
         B = bnd.BoundedDiagram(k, D, tuple(order))
         out = out + bnd.inject_bounded(B, Fraction(1, total))
-    return out
-
-
-def chi_lincomb(L: LinComb, k: int) -> LinComb:
-    out = LinComb.zero()
-    for key, coeff in L.items():
-        out = out + chi(canonical_diagram(key), k).scale(coeff)
     return out

@@ -45,12 +45,8 @@ from linkhom.relators import (
     star_relator,
     stu_relators,
 )
-from linkhom.spaces import (
-    chi_lincomb,
-    dim_space,
-    relation_matrix_bhl,
-    verify_main_theorem,
-)
+from linkhom.spaces import dim_space, verify_main_theorem
+from test_spaces import chi_lincomb, relator_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -116,7 +112,7 @@ def test_a2_compound_forests_certified():
     for k in (3, 4, 5):
         certs = verify_main_theorem(k, 3)
         expected += _compound_count(k, 3)
-        rid_maps = {d: relation_matrix_bhl(k, d)[1] for d in (2, 3)}
+        rid_maps = {d: relator_table(k, d) for d in (2, 3)}
         elements = {d: {rid: r for rid, r in m.items()} for d, m in rid_maps.items()}
         for cert in certs:
             total += 1

@@ -7,17 +7,27 @@ Core claims:
     - verify writes certificates that check-cert replays
     - check-cert tests a certificate's claim, not only its arithmetic, and
       names the offending field or relator of a bad document
+    - an unreadable input file or a negative budget is a one-line error, and
+      a zero budget bounds its side
+    - a certificate with any one relator id or field changed fails
+      check-cert with a documented exit code and a one-line message
 """
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linkhom
+from linkhom import cli
+from linkhom.bases import enum_forests
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -146,6 +156,24 @@ def test_key_size_limit_is_a_budget_error(argv, field):
     assert err.startswith("budget: ") and "key-size limit" in err and field in err, err
 
 
+@pytest.mark.parametrize("argv, expect", [
+    (["dim", "--space", "bhl", "-k", "3", "-d", "2", "--budget-d", "0"], 3),
+    (["dim", "--space", "bhl", "-k", "3", "-d", "2", "--budget-k", "0"], 3),
+    (["dim", "--space", "chord", "-d", "2", "--budget-d", "0"], 3),
+    (["verify", "-k", "3", "--max-degree", "2", "--budget-d", "0"], 3),
+    (["dim", "--space", "bhl", "-k", "3", "-d", "0", "--budget-d", "0"], 0),
+    (["dim", "--space", "bhl", "-k", "3", "-d", "2", "--budget-d", "-1"], 2),
+    (["dim", "--space", "bhl", "-k", "3", "-d", "2", "--budget-k", "-1"], 2),
+    (["enumerate", "--space", "chord", "-d", "2", "--budget-d", "-3"], 2),
+    (["--budget-k", "-1", "verify", "-k", "3", "--max-degree", "2"], 2),
+], ids=["d0", "k0", "chord-d0", "verify-d0", "degree-0-fits", "d-negative", "k-negative",
+        "enumerate-negative", "verify-negative"])
+def test_zero_and_negative_budgets(argv, expect):
+    err = _proc(*argv, expect=expect).stderr
+    prefix = {0: "", 2: "usage: ", 3: "budget: "}[expect]
+    assert err.startswith(prefix) and err.count("\n") == (expect != 0), err
+
+
 def test_budget_override_loosens():
     # (2,4) is outside a tightened budget, inside the default one
     _run("dim", "--space", "bhl", "-k", "2", "-d", "4")
@@ -157,6 +185,25 @@ def test_parse_error_is_5(tmp_path):
     bad.write_text("{broken")
     _run("reduce", "--input", str(bad), "-k", "3", expect=5)
     _run("lk", "--input", str(tmp_path / "missing.gauss"), expect=5)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-cert", "--cert"],
+    ["reduce", "-k", "3", "--input"],
+    ["chi", "-k", "3", "--input"],
+    ["lk", "--input"],
+    ["lk", "--pd", "--input"],
+], ids=["check-cert", "reduce", "chi", "lk", "lk-pd"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_input_is_5(tmp_path, argv, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    err = _proc(*argv, str(path), expect=5).stderr
+    assert err.startswith(f"parse error: cannot read {path}: "), err
+    assert "Traceback" not in err and err.count("\n") == 1, err
 
 
 def test_gauss_parse_error_is_5(tmp_path):
@@ -295,9 +342,124 @@ def test_check_cert_wrong_claim_is_4(tmp_path, cert_k3_d2, change):
 
 
 def test_check_cert_over_budget_is_3(tmp_path, cert_k3_d2):
-    # bhl(7, 5) is never enumerated: the budget check comes first
+    # the claimed cell is checked against the budget before the claim itself
     doc, _ = cert_k3_d2
     err = _check(tmp_path, _with(doc, k=7, d=5), 3)
     assert err.startswith("budget: "), err
     err = _check(tmp_path, doc, 3, "--budget-d", "1")
     assert err.startswith("budget: "), err
+    err = _check(tmp_path, doc, 3, "--budget-k", "0")
+    assert err.startswith("budget: "), err
+    err = _check(tmp_path, doc, 2, "--budget-d", "-1")
+    assert err.startswith("usage: "), err
+
+
+# -- check-cert under mutation ---------------------------------------------------------
+
+def _relabeled_key(hexkey, rng):
+    """The key's bytes under a random vertex relabeling: same format and
+    forest, labels that are not the canonical ones (unless the shuffle
+    happens to keep every byte)."""
+    key = bytes.fromhex(hexkey)
+    k, n, m = key[1], key[2], key[3]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    colors = [0] * n
+    for v in range(n):
+        colors[perm[v]] = key[4 + v]
+    edges = sorted(tuple(sorted((perm[key[4 + n + 2 * i]], perm[key[5 + n + 2 * i]])))
+                   for i in range(m))
+    return bytes([key[0], k, n, m, *colors, *(x for e in edges for x in e)]).hex()
+
+
+def _mutate_id(rid, draw, other_keys):
+    kind, name, index = rid.split(":")
+    how = draw(st.sampled_from(["upper", "capitalized", "hex-space", "leading-zero", "sign",
+                                "extra-colon", "double-colon", "other-prefix", "off-by-one",
+                                "other-cell-key", "relabeled-key", "no-index", "empty"]))
+    if how == "upper":
+        return rid.upper()
+    if how == "capitalized":
+        return f"{kind.capitalize()}:{name}:{index}"
+    if how == "hex-space":
+        return f"{kind}:{name[:2]} {name[2:]}:{index}"
+    if how == "leading-zero":
+        return f"{kind}:{name}:0{index}"
+    if how == "sign":
+        return f"{kind}:{name}:+{index}"
+    if how == "extra-colon":
+        return rid + draw(st.sampled_from([":", ":0"]))
+    if how == "double-colon":
+        return f"{kind}::{name}:{index}"
+    if how == "other-prefix":
+        other = draw(st.sampled_from(["star", "ihx", "stu", "link1", "1t", "4t", "", "STAR"]))
+        return f"{other}:{name}:{index}"
+    if how == "off-by-one":
+        return f"{kind}:{name}:{int(index) + draw(st.sampled_from([-1, 1]))}"
+    if how == "other-cell-key":
+        return f"{kind}:{draw(st.sampled_from(other_keys))}:{index}"
+    if how == "relabeled-key":
+        return f"{kind}:{_relabeled_key(name, draw(st.randoms()))}:{index}"
+    if how == "no-index":
+        return f"{kind}:{name}"
+    return ""
+
+
+def _mutate(doc, draw, other_keys):
+    """A copy of a certificate document with one id or field changed."""
+    doc = json.loads(json.dumps(doc))
+    terms = doc["combination"]
+    how = draw(st.sampled_from(["none", "id", "k", "d", "target-coeff", "coeff", "residual",
+                                "repeated-target-key", "drop-term", "duplicate-term",
+                                "drop-field", "field-type"]))
+    if how == "id":
+        term = draw(st.sampled_from(terms))
+        term["relator"] = _mutate_id(term["relator"], draw, other_keys)
+    elif how in ("k", "d"):
+        doc[how] = draw(st.integers(0, 9))
+    elif how == "target-coeff":
+        doc["target"][0]["coeff"] = str(draw(st.fractions().filter(lambda c: c != 1)))
+    elif how == "coeff":
+        term = draw(st.sampled_from(terms))
+        term["coeff"] = str(draw(st.fractions().filter(lambda c: c != Fraction(term["coeff"]))))
+    elif how == "residual":
+        doc["residual"] = doc["residual"] + [{"key": doc["target"][0]["key"],
+                                              "coeff": str(draw(st.fractions().filter(bool)))}]
+    elif how == "repeated-target-key":
+        doc["target"] = doc["target"] * 2
+    elif how == "drop-term":
+        terms.pop(draw(st.integers(0, len(terms) - 1)))
+    elif how == "duplicate-term":
+        terms.append(dict(draw(st.sampled_from(terms))))
+    elif how == "drop-field":
+        del doc[draw(st.sampled_from(["k", "d", "target", "combination", "residual"]))]
+    elif how == "field-type":
+        doc[draw(st.sampled_from(["k", "d", "target", "combination", "residual"]))] = \
+            draw(st.sampled_from(["3", None, 1.5, {}, [{}]]))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def certs_k3_d3(tmp_path_factory):
+    """The certificates verify writes for bhl(3, 3), the basis keys of other
+    cells, and a file to write mutated documents to."""
+    outdir = tmp_path_factory.mktemp("certs33")
+    _run("verify", "-k", "3", "--max-degree", "3", "--certs", str(outdir))
+    docs = [json.loads(p.read_text()) for p in sorted(outdir.glob("cert-*.json"))]
+    other_keys = [sk.hex for k, d in ((3, 2), (2, 3), (4, 3)) for sk in enum_forests(k, d)]
+    return docs, other_keys, outdir / "mutated.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_check_cert_exit_codes_under_mutation(certs_k3_d3, data):
+    docs, other_keys, path = certs_k3_d3
+    doc = data.draw(st.sampled_from(docs))
+    mutated = _mutate(doc, data.draw, other_keys)
+    path.write_text(json.dumps(mutated))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["check-cert", "--cert", str(path)])
+    assert code in (0, 2, 3, 4, 5)
+    assert (code == 0) == (mutated == doc), (mutated, err.getvalue())
+    assert err.getvalue().count("\n") == (code != 0), err.getvalue()

@@ -11,16 +11,20 @@ Core claims:
       the STU+link1 span
     - the main theorem verifier certifies every compound component and its
       certificates replay by plain summation
+    - a relator id rebuilds to the element the whole-basis relator table
+      holds for it, and names a relator exactly when the table has it
     - monomial reduction reads off segment multiplicities
     - out-of-budget requests raise before any work happens
 """
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from linkhom.chords import chord_key
 from linkhom.diagrams import (
+    canonical_diagram,
     canonicalize,
     disjoint_union,
     empty,
@@ -28,24 +32,43 @@ from linkhom.diagrams import (
     segment,
     tripod,
 )
-from linkhom.errors import BudgetError, DiagramError
+from linkhom.errors import BudgetError, DiagramError, VerificationError
 from linkhom.lincomb import LinComb
 from linkhom.qlinalg import relator_matrix, verify_certificate
-from linkhom.relators import ihx_relators, star_relators, stu_relators, link1_relators
+from linkhom.relators import ihx_relators, link1_relators, star_relators, stu_relators
 from linkhom.bases import enum_forests
 from linkhom.bounded import enum_bounded
 from linkhom.spaces import (
     check_budget,
     chi,
-    chi_lincomb,
     dim_space,
     monomial_str,
-    polynomial_dimension,
     reduce_to_monomials,
-    relation_matrix_bhl,
+    relator_by_id,
     space_basis,
     verify_main_theorem,
 )
+
+
+def polynomial_dimension(k: int, d: int) -> int:
+    """Degree-d dimension of a polynomial ring on C(k,2) degree-one generators."""
+    return comb(comb(k, 2) + d - 1, d)
+
+
+def chi_lincomb(L: LinComb, k: int) -> LinComb:
+    """chi extended linearly to a combination of forest keys."""
+    out = LinComb.zero()
+    for key, coeff in L.items():
+        out = out + chi(canonical_diagram(key), k).scale(coeff)
+    return out
+
+
+def relator_table(k: int, d: int) -> dict:
+    """Every star and IHX relator of bhl(k, d) by id, generated over the
+    whole basis: the oracle for relator_by_id, which rebuilds one from its
+    id alone."""
+    basis = space_basis("bhl", k, d)
+    return {r.rid: r.element for r in star_relators(basis) + ihx_relators(basis)}
 
 
 def _union(parts, k):
@@ -171,7 +194,7 @@ def test_main_theorem_no_compound_components_at_k2():
 def test_main_theorem_certificates_verify():
     certs = verify_main_theorem(3, 3)
     assert len(certs) == 4
-    rid_maps = {d: relation_matrix_bhl(3, d)[1] for d in (2, 3)}
+    rid_maps = {d: relator_table(3, d) for d in (2, 3)}
     for cert in certs:
         assert cert.is_member
         assert any(
@@ -184,6 +207,34 @@ def _verifies(cert, rid_map):
         return verify_certificate(cert, rid_map)
     except KeyError:
         return False
+
+
+def _rebuilt(rid, k, d):
+    try:
+        return relator_by_id(rid, k, d)
+    except VerificationError as exc:
+        assert str(exc) == f"unknown relator id {rid!r}"
+        return None
+
+
+@pytest.mark.parametrize("k,d", [(3, 2), (3, 3), (4, 3), (4, 4), (5, 3)])
+def test_relator_ids_rebuild_as_the_global_table(k, d):
+    table = relator_table(k, d)
+    for rid, element in table.items():
+        assert relator_by_id(rid, k, d) == element, rid
+    accepted = 0
+    for sk in space_basis("bhl", k, d):
+        D = canonical_diagram(sk.key)
+        ids = [f"star:{sk.hex}:{u}" for u in range(-1, D.n + 1)]
+        ids += [f"ihx:{sk.hex}:{e}" for e in range(-1, D.n_edges + 1)]
+        for rid in ids:
+            got = _rebuilt(rid, k, d)
+            assert (got is not None) == (rid in table), rid
+            accepted += got is not None
+    assert accepted == len(table)
+    # the same ids name nothing in a neighboring cell
+    some = next(iter(table))
+    assert _rebuilt(some, k + 1, d) is None and _rebuilt(some, k, d + 1) is None
 
 
 # -- Reduction to monomials --------------------------------------------------------------
