@@ -5,6 +5,10 @@ are trees with pairwise distinct leaf colors.  Trees on a fixed leaf set are
 generated by the classic leaf-insertion recursion (each unitrivalent tree
 arises exactly once), then canonicalized; forests are multisets of tree
 components with the prescribed total degree.
+
+The support of a forest is the set of colors its legs use.  A support block
+holds the forests whose support is exactly {1..m}; a tree of degree n has
+n + 1 <= 2n legs, so a forest of degree d has support of size at most 2d.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import itertools
 
 from . import diagrams
-from .diagrams import Diagram, SignedCanonicalKey, canonicalize, canonical_diagram
+from .diagrams import SignedCanonicalKey, canonicalize, canonical_diagram
 
 
 def _raw_trees(colors):
@@ -46,37 +50,46 @@ def trees_on_colors(colors, k) -> list:
     return sorted(out)
 
 
-def enum_forests(k: int, d: int) -> list:
+def enum_forests(k: int, d: int, support: int | None = None) -> list:
     """Sorted canonical keys of all degree-d homotopy basis forests on k colors.
 
+    With support=m, only the forests whose legs use exactly the colors
+    1..m: the support block, whose keys are still keys of the k-color cell.
     Every output is non-boring with sign +1; component degrees never exceed
-    k - 1 because leaf colors are distinct within a component.
+    the palette size minus 1 because leaf colors are distinct within a
+    component.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    if d == 0:
-        return [canonicalize(diagrams.empty(k))]
-    types = []          # (degree, key) per component type
-    for n in range(1, min(d, k - 1) + 1):
-        for colors in itertools.combinations(range(1, k + 1), n + 1):
+    palette = k if support is None else support
+    if not 0 <= palette <= k:
+        raise ValueError(f"support {support} is outside 0..{k}")
+    # colors the forest must still cover, as a bitmask over the palette
+    need = 0 if support is None else (1 << palette) - 1
+    types = []          # (degree, color mask, key) per component type
+    for n in range(1, min(d, palette - 1) + 1):
+        for colors in itertools.combinations(range(1, palette + 1), n + 1):
+            mask = sum(1 << (c - 1) for c in colors)
             for key in trees_on_colors(colors, k):
-                types.append((n, key))
-    types.sort(key=lambda t: t[1])
+                types.append((n, mask, key))
+    types.sort(key=lambda t: t[2])
 
     found = set()
 
-    def extend(i, remaining, parts):
+    def extend(i, remaining, uncovered, parts):
+        # a tree of degree n covers at most 2n new colors
+        if uncovered.bit_count() > 2 * remaining:
+            return
         if remaining == 0:
             F = diagrams.empty(k)
             for key in parts:
                 F = diagrams.disjoint_union(F, canonical_diagram(key))
-            sk = canonicalize(F)
-            found.add(sk.key)
+            found.add(canonicalize(F).key)
             return
         for j in range(i, len(types)):
-            n, key = types[j]
+            n, mask, key = types[j]
             if n <= remaining:
-                extend(j, remaining - n, parts + [key])
+                extend(j, remaining - n, uncovered & ~mask, parts + [key])
 
-    extend(0, d, [])
+    extend(0, d, need, [])
     return [SignedCanonicalKey(key, 1) for key in sorted(found)]

@@ -96,12 +96,13 @@ def inject_bounded(B: BoundedDiagram, coeff=1) -> LinComb:
     return LinComb.term(sk.key, Fraction(coeff) * sk.sign)
 
 
-def enum_bounded(k: int, d: int) -> list:
-    """Sorted canonical keys of degree-d homotopy-legal bounded diagrams."""
+def enum_bounded(k: int, d: int, support: int | None = None) -> list:
+    """Sorted canonical keys of degree-d homotopy-legal bounded diagrams;
+    with support=m, of those whose legs lie exactly on segments 1..m."""
     from .bases import enum_forests
 
     found = set()
-    for sk in enum_forests(k, d):
+    for sk in enum_forests(k, d, support):
         F = canonical_diagram(sk.key)
         by_color = {s: [] for s in range(1, k + 1)}
         for v, c in F.legs():

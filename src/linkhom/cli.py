@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import bounded as bnd
@@ -39,14 +40,14 @@ def _dump(doc) -> str:
 
 def _budget(args):
     """The (k, d) budget the flags set, None without either; a flag left out
-    puts no bound on its side."""
+    is None on its side, which check_budget reads."""
     bk, bd = args.budget_k, args.budget_d
     for flag, value in (("--budget-k", bk), ("--budget-d", bd)):
         if value is not None and value < 0:
             raise UsageError(f"{flag} {value} is negative")
     if bk is None and bd is None:
         return None
-    return (10**9 if bk is None else bk, 10**9 if bd is None else bd)
+    return (bk, bd)
 
 
 def _read(path) -> str:
@@ -57,6 +58,15 @@ def _read(path) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: not UTF-8 text at byte {exc.start}") from None
+
+
+@contextmanager
+def _writing(path):
+    """An output path that cannot be written is a usage error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_enumerate(args) -> int:
@@ -87,17 +97,23 @@ def _cmd_dim(args) -> int:
 def _cmd_verify(args) -> int:
     if args.theorem != "main":
         raise ParseError(f"unknown theorem {args.theorem!r}")
-    certs = spaces.verify_main_theorem(args.k, args.max_degree, _budget(args))
+    budget = _budget(args)
+    outdir = Path(args.certs) if args.certs else None
+    if outdir:
+        # the directory must be usable before the verification runs
+        spaces.check_budget("bhl", args.k, args.max_degree, budget)
+        with _writing(outdir):
+            outdir.mkdir(parents=True, exist_ok=True)
+    certs = spaces.verify_main_theorem(args.k, args.max_degree, budget)
     written = []
-    if args.certs:
-        outdir = Path(args.certs)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir:
         for cert in certs:
             key = cert.target.keys()[0]
             d = canonical_diagram(key).degree()
             doc = {"space": "bhl", "k": args.k, "d": d, **certificate_doc(cert)}
             path = outdir / f"cert-{key.hex()}.json"
-            path.write_text(_dump(doc) + "\n")
+            with _writing(path):
+                path.write_text(_dump(doc) + "\n")
             written.append(path.name)
     summary = {"theorem": "main", "k": args.k, "max_degree": args.max_degree,
                "certificates": len(certs), "files": sorted(written)}
@@ -114,12 +130,21 @@ def _doc_int(doc, name, least):
     return doc_field(doc, name, parse)
 
 
+def _doc_str(x):
+    if not isinstance(x, str):
+        raise TypeError(f"{x!r} is not a string")
+    return x
+
+
 def _cmd_check_cert(args) -> int:
     budget = _budget(args)
     doc = json.loads(_read(args.cert))
     k, d = _doc_int(doc, "k", 1), _doc_int(doc, "d", 0)
     cert = certificate_from_doc(doc)
+    space = doc_field(doc, "space", _doc_str)
     spaces.check_budget("bhl", k, d, budget)
+    if space != "bhl":
+        raise VerificationError(f"certificate claims space {space!r}; only bhl is checked")
     spaces.check_main_certificate(cert, k, d)
     print(_dump({"cert": Path(args.cert).name, "ok": True}) if args.json else "ok")
     return EXIT_OK

@@ -4,6 +4,21 @@ Space names: "bhsl" and "bhl" are the colored forest spaces without and with
 the link relation; "ahsl" and "ahl" are the bounded spaces without and with
 the segment-cycling relation; "chord" is the knot chord space modulo the one-
 and four-term relations.
+
+The forest and bounded spaces split into support blocks.  The support of a
+diagram is the set of colors its legs use, and every IHX, star, STU and link1
+relator keeps the support of the diagram it is generated from, so the
+relator matrix is block diagonal by support.  A recoloring of {1..k} carries
+the block of one support onto the block of any other of the same size, with
+its basis, relators and rank.  So with f(m, d) the block of support exactly
+{1..m},
+
+    dim(k, d) = sum over m of C(k, m) * f(m, d),    0 <= m <= min(k, 2d),
+
+and likewise for the basis size, each relator count and the rank.
+dim_space computes those min(k, 2d) + 1 blocks only, each in the k-color
+cell's own keys; d = 0 is the m = 0 block, the empty forest.  The main
+triviality verification still eliminates over the whole cell.
 """
 
 from __future__ import annotations
@@ -11,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from . import bounded as bnd
 from . import chords as ch
@@ -43,17 +58,21 @@ def _key_fields(space: str, k, d: int) -> dict:
 def check_budget(space: str, k, d: int, budget=None) -> None:
     """Raise UsageError for k < 1 (outside chord) or d < 0, and BudgetError
     when the request exceeds the configured bounds or its keys cannot fit
-    their one-byte fields."""
+    their one-byte fields.
+
+    budget is a (k, d) pair that replaces the default; a side given as None
+    is unbounded, except the chord degree, which then keeps its default.
+    """
     if space != "chord" and (k is None or k < 1):
         raise UsageError(f"space {space} needs k >= 1")
     if d < 0:
         raise UsageError(f"degree {d} is negative")
     if space == "chord":
-        limit = budget[1] if budget else DEFAULT_MAX_CHORD_DEGREE
+        limit = budget[1] if budget and budget[1] is not None else DEFAULT_MAX_CHORD_DEGREE
         if d > limit:
             raise BudgetError(f"chord degree {d} exceeds budget {limit}")
     elif budget:
-        bk, bd = budget
+        bk, bd = (float("inf") if b is None else b for b in budget)
         if k > bk or d > bd:
             raise BudgetError(f"(k={k}, d={d}) exceeds budget (k<={bk}, d<={bd})")
     elif not ((k <= 5 and d <= 3) or (k <= 4 and d <= 4)):
@@ -100,12 +119,15 @@ def _relators_for(space: str, k, d: int, basis):
     raise ValueError(f"unknown space {space!r}")
 
 
-def space_basis(space: str, k, d: int):
+def space_basis(space: str, k, d: int, support=None):
+    """The basis of a cell, or with support=m of its block on colors 1..m."""
     if space in ("bhsl", "bhl"):
-        return enum_forests(k, d)
+        return enum_forests(k, d, support)
     if space in ("ahsl", "ahl"):
-        return bnd.enum_bounded(k, d)
+        return bnd.enum_bounded(k, d, support)
     if space == "chord":
+        if support is not None:
+            raise ValueError("chord diagrams have no colors, hence no support blocks")
         return ch.enum_chord(d)
     raise ValueError(f"unknown space {space!r}")
 
@@ -116,12 +138,11 @@ def _basis_keys(space: str, basis):
     return [sk.key for sk in basis]
 
 
-def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
-    """Basis size, relator rank, and quotient dimension of one graded piece."""
-    if space not in SPACES:
-        raise ValueError(f"unknown space {space!r}")
-    check_budget(space, k, d, budget)
-    basis = space_basis(space, k, d)
+def dim_block(space: str, k, d: int, support=None) -> SpaceReport:
+    """The report of one block of the (k, d) cell, from one relator matrix:
+    with support=m the part on colors exactly 1..m, else the whole cell.
+    relator_matrix raises ValueError should a relator leave the block."""
+    basis = space_basis(space, k, d, support)
     keys = _basis_keys(space, basis)
     groups = _relators_for(space, k, d, basis)
     matrix = relator_matrix(keys, [r for rs in groups.values() for r in rs])
@@ -133,6 +154,26 @@ def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
         relator_counts={name: len(rs) for name, rs in groups.items()},
         rank=matrix.rank(),
     )
+    report.dim = report.basis_size - report.rank
+    return report
+
+
+def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
+    """Basis size, relator counts, rank, and quotient dimension of one graded
+    piece: the sum over m of C(k, m) times its support block on 1..m, or
+    for chord the one block of the whole cell."""
+    if space not in SPACES:
+        raise ValueError(f"unknown space {space!r}")
+    check_budget(space, k, d, budget)
+    if space == "chord":
+        return dim_block(space, k, d)
+    report = SpaceReport(space=space, k=k, d=d, basis_size=0)
+    for m in range(min(k, 2 * d) + 1):
+        block, mult = dim_block(space, k, d, m), comb(k, m)
+        report.basis_size += mult * block.basis_size
+        report.rank += mult * block.rank
+        for name, count in block.relator_counts.items():
+            report.relator_counts[name] = report.relator_counts.get(name, 0) + mult * count
     report.dim = report.basis_size - report.rank
     return report
 

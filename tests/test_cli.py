@@ -11,6 +11,9 @@ Core claims:
       a zero budget bounds its side
     - a certificate with any one relator id or field changed fails
       check-cert with a documented exit code and a one-line message
+    - a budget flag for one side leaves the chord degree at its default
+    - verify --certs rejects an unusable directory before it verifies
+    - check-cert proves bhl certificates only and needs the space field
 """
 
 import io
@@ -174,6 +177,15 @@ def test_zero_and_negative_budgets(argv, expect):
     assert err.startswith(prefix) and err.count("\n") == (expect != 0), err
 
 
+def test_chord_budget_k_alone_keeps_the_degree_default():
+    # the k side has no meaning for chord; the degree stays bounded by 5
+    out = subprocess.run([sys.executable, "-m", "linkhom.cli", "dim", "--space", "chord",
+                          "-d", "9", "--budget-k", "1"],
+                         capture_output=True, text=True, env=ENV, timeout=60)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr == "budget: chord degree 9 exceeds budget 5\n", out.stderr
+
+
 def test_budget_override_loosens():
     # (2,4) is outside a tightened budget, inside the default one
     _run("dim", "--space", "bhl", "-k", "2", "-d", "4")
@@ -260,6 +272,24 @@ def test_verify_then_check_cert(tmp_path):
         assert json.loads(_run("check-cert", "--cert", str(path), "--json"))["ok"] is True
 
 
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_verify_certs_unusable_path_is_2(tmp_path, monkeypatch, where):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    target = blocker if where == "file" else blocker / "certs"
+
+    def verify(*args):
+        raise AssertionError("the directory is checked before verification runs")
+    monkeypatch.setattr(cli.spaces, "verify_main_theorem", verify)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["verify", "-k", "3", "--max-degree", "2", "--certs", str(target)])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith(f"usage: cannot write {target}: "), err.getvalue()
+    assert err.getvalue().count("\n") == 1
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_hopf_check_small():
     doc = json.loads(_run("hopf-check", "--chord-degree", "1",
                           "--forest-degree", "2", "--json"))
@@ -311,9 +341,12 @@ def _check(tmp_path, doc, expect, *flags):
      "'combination'"),
     (lambda doc: _with(doc, combination=[{"relator": 7, "coeff": "1"}]), "'combination'"),
     (lambda doc: _with(doc, residual=[{"key": "00", "coeff": "1/0"}]), "'residual'"),
+    (lambda doc: _with(doc, space=None), "'space'"),
+    (lambda doc: _with(doc, space=["bhl"]), "'space'"),
 ], ids=["empty", "not-object", "no-k", "no-d", "no-target", "no-combination",
         "no-residual", "k-string", "d-negative", "non-hex-key", "no-key",
-        "bad-coeff", "relator-not-string", "zero-denominator"])
+        "bad-coeff", "relator-not-string", "zero-denominator", "no-space",
+        "space-not-string"])
 def test_check_cert_malformed_is_5(tmp_path, cert_k3_d2, change, field):
     err = _check(tmp_path, change(cert_k3_d2[0]), expect=5)
     assert err.startswith("parse error: ") and field in err, err
@@ -327,14 +360,17 @@ def test_check_cert_unknown_relator_is_4(tmp_path, cert_k3_d2):
 
 
 @pytest.mark.parametrize("change", [
-    lambda doc, keys: {"k": 3, "d": 2, "target": [], "combination": [], "residual": []},
+    lambda doc, keys: {"space": "bhl", "k": 3, "d": 2, "target": [], "combination": [],
+                       "residual": []},
     # the tripod is the only compound forest of bhl(3, 2); the rest are segments
     lambda doc, keys: _with(doc, target=[{"key": min(set(keys) - {doc["target"][0]["key"]}),
                                            "coeff": "1"}]),
     lambda doc, keys: _with(doc, d=3),
     lambda doc, keys: _with(doc, target=[{"key": doc["target"][0]["key"], "coeff": "2"}]),
     lambda doc, keys: _with(doc, target=doc["target"] + [{"key": keys[0], "coeff": "1"}]),
-], ids=["vacuous", "segment-only", "wrong-degree", "coefficient-2", "two-forests"])
+    lambda doc, keys: _with(doc, space="ahl"),
+], ids=["vacuous", "segment-only", "wrong-degree", "coefficient-2", "two-forests",
+        "space-ahl"])
 def test_check_cert_wrong_claim_is_4(tmp_path, cert_k3_d2, change):
     doc, keys = cert_k3_d2
     err = _check(tmp_path, change(doc, keys), expect=4)
@@ -432,9 +468,9 @@ def _mutate(doc, draw, other_keys):
     elif how == "duplicate-term":
         terms.append(dict(draw(st.sampled_from(terms))))
     elif how == "drop-field":
-        del doc[draw(st.sampled_from(["k", "d", "target", "combination", "residual"]))]
+        del doc[draw(st.sampled_from(["space", "k", "d", "target", "combination", "residual"]))]
     elif how == "field-type":
-        doc[draw(st.sampled_from(["k", "d", "target", "combination", "residual"]))] = \
+        doc[draw(st.sampled_from(["space", "k", "d", "target", "combination", "residual"]))] = \
             draw(st.sampled_from(["3", None, 1.5, {}, [{}]]))
     return doc
 

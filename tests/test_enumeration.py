@@ -9,6 +9,8 @@ Core claims:
     - every enumerated basis element is non-boring with nonzero sign
     - enumeration is deterministic and duplicate-free
     - degree-1 forests are exactly the color pairs
+    - the support block on colors 1..m holds exactly the basis elements whose
+      legs use those colors, and the recolored blocks count the whole basis
 """
 
 from itertools import combinations
@@ -136,6 +138,33 @@ def test_components_have_distinct_colors():
         for comp in D.components():
             legs = [D.colors[v] for v in comp if D.colors[v] is not None]
             assert len(legs) == len(set(legs))
+
+
+def _leg_colors(key):
+    """The leg colors a forest key uses."""
+    return {c for c in key[4:4 + key[2]] if c}
+
+
+def _segments(key):
+    """The segments a bounded key's legs lie on; slot color p*k + s is on s."""
+    k = key[1]
+    return {(c - 1) % k + 1 for c in _leg_colors(key[2:])}
+
+
+@pytest.mark.parametrize("enum, support, cells", [
+    (enum_forests, _leg_colors, [(k, d) for k in range(1, 6) for d in range(5)]),
+    (enum_bounded, _segments, [(k, d) for k in range(1, 5) for d in range(4)]),
+], ids=["forests", "bounded"])
+def test_support_blocks_partition_the_basis(enum, support, cells):
+    for k, d in cells:
+        whole = [sk.key for sk in enum(k, d)]
+        total = 0
+        for m in range(k + 1):
+            block = [sk.key for sk in enum(k, d, m)]
+            assert block == [key for key in whole if support(key) == set(range(1, m + 1))], \
+                (k, d, m)
+            total += comb(k, m) * len(block)
+        assert total == len(whole), (k, d)
 
 
 # -- Chord diagrams ---------------------------------------------------------------

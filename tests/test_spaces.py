@@ -15,6 +15,10 @@ Core claims:
       holds for it, and names a relator exactly when the table has it
     - monomial reduction reads off segment multiplicities
     - out-of-budget requests raise before any work happens
+    - the support-block sum gives the report of the whole-cell pipeline
+      (whole basis, every relator, one matrix), byte for byte
+    - the bhl and ahl block on colors 1..m has the dimension of the loopless
+      multigraphs with d edges on m labeled vertices and none isolated
 """
 
 from fractions import Fraction
@@ -39,8 +43,10 @@ from linkhom.relators import ihx_relators, link1_relators, star_relators, stu_re
 from linkhom.bases import enum_forests
 from linkhom.bounded import enum_bounded
 from linkhom.spaces import (
+    _relators_for,
     check_budget,
     chi,
+    dim_block,
     dim_space,
     monomial_str,
     reduce_to_monomials,
@@ -52,7 +58,7 @@ from linkhom.spaces import (
 
 def polynomial_dimension(k: int, d: int) -> int:
     """Degree-d dimension of a polynomial ring on C(k,2) degree-one generators."""
-    return comb(comb(k, 2) + d - 1, d)
+    return comb(comb(k, 2) + d - 1, d) if d else 1
 
 
 def chi_lincomb(L: LinComb, k: int) -> LinComb:
@@ -69,6 +75,25 @@ def relator_table(k: int, d: int) -> dict:
     id alone."""
     basis = space_basis("bhl", k, d)
     return {r.rid: r.element for r in star_relators(basis) + ihx_relators(basis)}
+
+
+def whole_cell_doc(space: str, k: int, d: int) -> dict:
+    """dim --json of a cell by the whole-cell pipeline: every basis element,
+    every relator, one matrix.  The oracle for the support-block sum."""
+    basis = space_basis(space, k, d)
+    keys = [sk.key for sk in basis]
+    groups = _relators_for(space, k, d, basis)
+    rank = relator_matrix(keys, [r for rs in groups.values() for r in rs]).rank()
+    return {"space": space, "k": k, "d": d, "basis": len(keys),
+            "relators": {name: len(rs) for name, rs in sorted(groups.items())},
+            "rank": rank, "dim": len(keys) - rank}
+
+
+def full_support_multigraphs(m: int, d: int) -> int:
+    """Loopless multigraphs with d edges on m labeled vertices, none isolated,
+    by inclusion-exclusion over the vertices left bare; polynomial_dimension
+    counts them with isolated vertices allowed."""
+    return sum((-1) ** (m - j) * comb(m, j) * polynomial_dimension(j, d) for j in range(m + 1))
 
 
 def _union(parts, k):
@@ -101,6 +126,33 @@ def test_bhsl_reference_dims(k, d, dim):
 def test_bounded_side_agrees_with_forest_side(k, d):
     assert dim_space("ahl", k, d).dim == dim_space("bhl", k, d).dim
     assert dim_space("ahsl", k, d).dim == dim_space("bhsl", k, d).dim
+
+
+@pytest.mark.parametrize("space,k,d", [
+    *((space, k, d) for space in ("bhsl", "bhl", "ahsl", "ahl")
+      for k in range(1, 6) for d in range(4)),
+    ("bhl", 4, 4),
+])
+def test_block_sum_matches_the_whole_cell(space, k, d):
+    assert dim_space(space, k, d).to_doc() == whole_cell_doc(space, k, d)
+
+
+def test_full_support_multigraph_values():
+    assert [full_support_multigraphs(m, 3) for m in range(7)] == [0, 0, 1, 7, 22, 30, 15]
+    assert [full_support_multigraphs(m, 0) for m in range(3)] == [1, 0, 0]
+    # summed over the supports of a cell, the count is polynomial_dimension
+    assert sum(comb(5, m) * full_support_multigraphs(m, 3) for m in range(6)) == \
+        polynomial_dimension(5, 3)
+
+
+@pytest.mark.parametrize("space,m,d", [
+    *((space, m, d) for space in ("bhl", "ahl") for d in range(4) for m in range(6)),
+    *(("bhl", m, 4) for m in range(5)),
+])
+def test_support_block_dim_counts_multigraphs(space, m, d):
+    block = dim_block(space, max(m, 1), d, m)
+    want = full_support_multigraphs(m, d)
+    assert block.dim == want, f"{space} block on colors 1..{m}, d={d}: dim {block.dim}, want {want}"
 
 
 @pytest.mark.parametrize("d,dim", [(1, 0), (2, 1), (3, 1)])
