@@ -4,7 +4,8 @@ The homotopy basis in a given degree is the set of forests whose components
 are trees with pairwise distinct leaf colors.  Trees on a fixed leaf set are
 generated by the classic leaf-insertion recursion (each unitrivalent tree
 arises exactly once), then canonicalized; forests are multisets of tree
-components with the prescribed total degree.
+components with the prescribed total degree, and a forest's key is joined
+from its trees' keys without building the forest.
 
 The support of a forest is the set of colors its legs use.  A support block
 holds the forests whose support is exactly {1..m}; a tree of degree n has
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from . import diagrams
-from .diagrams import SignedCanonicalKey, canonicalize, canonical_diagram
+from .diagrams import canonicalize, join_trees, tree_body
 
 
 def _raw_trees(colors):
@@ -55,9 +56,9 @@ def enum_forests(k: int, d: int, support: int | None = None) -> list:
 
     With support=m, only the forests whose legs use exactly the colors
     1..m: the support block, whose keys are still keys of the k-color cell.
-    Every output is non-boring with sign +1; component degrees never exceed
-    the palette size minus 1 because leaf colors are distinct within a
-    component.
+    Each key's canonical representative is the forest itself, with sign +1;
+    component degrees never exceed the palette size minus 1 because leaf
+    colors are distinct within a component.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -66,30 +67,27 @@ def enum_forests(k: int, d: int, support: int | None = None) -> list:
         raise ValueError(f"support {support} is outside 0..{k}")
     # colors the forest must still cover, as a bitmask over the palette
     need = 0 if support is None else (1 << palette) - 1
-    types = []          # (degree, color mask, key) per component type
+    types = []          # (degree, color mask, key body) per component type
     for n in range(1, min(d, palette - 1) + 1):
         for colors in itertools.combinations(range(1, palette + 1), n + 1):
             mask = sum(1 << (c - 1) for c in colors)
             for key in trees_on_colors(colors, k):
-                types.append((n, mask, key))
-    types.sort(key=lambda t: t[2])
+                types.append((n, mask, tree_body(key)))
 
-    found = set()
+    # each multiset of types is one forest, met once
+    found = []
 
     def extend(i, remaining, uncovered, parts):
         # a tree of degree n covers at most 2n new colors
         if uncovered.bit_count() > 2 * remaining:
             return
         if remaining == 0:
-            F = diagrams.empty(k)
-            for key in parts:
-                F = diagrams.disjoint_union(F, canonical_diagram(key))
-            found.add(canonicalize(F).key)
+            found.append(join_trees(k, parts))
             return
         for j in range(i, len(types)):
-            n, mask, key = types[j]
+            n, mask, body = types[j]
             if n <= remaining:
-                extend(j, remaining - n, uncovered & ~mask, parts + [key])
+                extend(j, remaining - n, uncovered & ~mask, parts + [body])
 
     extend(0, d, need, [])
-    return [SignedCanonicalKey(key, 1) for key in sorted(found)]
+    return sorted(found)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagrams
-from .diagrams import Diagram, SignedCanonicalKey, canonicalize, canonical_diagram
+from .diagrams import Diagram, SignedCanonicalKey, canonicalize, forest_key, representative
 from .errors import DiagramError
 from .lincomb import LinComb
 
@@ -42,6 +42,13 @@ class BoundedDiagram:
                 if self.graph.colors[v] != s:
                     raise DiagramError(f"leg {v} is placed on segment {s}, not its own")
 
+    @classmethod
+    def _assemble(cls, k, graph, order) -> "BoundedDiagram":
+        """A bounded diagram from a surgery on a valid one, unchecked."""
+        B = object.__new__(cls)
+        B.__dict__.update(k=k, graph=graph, order=order)
+        return B
+
     def degree(self) -> int:
         return self.graph.degree()
 
@@ -56,16 +63,24 @@ def _slot_colors(B: BoundedDiagram):
     return colors, B.k * (total + 1)
 
 
-def canonicalize_bounded(B: BoundedDiagram) -> SignedCanonicalKey:
-    inner = canonicalize(B.graph, *_slot_colors(B))
+def _keyed(B: BoundedDiagram, inner: SignedCanonicalKey) -> SignedCanonicalKey:
     return SignedCanonicalKey(bytes([_TAG_BOUNDED, B.k]) + inner.key, inner.sign)
 
 
+def canonicalize_bounded(B: BoundedDiagram) -> SignedCanonicalKey:
+    return _keyed(B, canonicalize(B.graph, *_slot_colors(B)))
+
+
+def bounded_key(B: BoundedDiagram) -> SignedCanonicalKey:
+    """canonicalize_bounded of a bounded diagram known to have no cycle,
+    unchecked."""
+    return _keyed(B, forest_key(B.graph, *_slot_colors(B)))
+
+
 def bounded_from_key(key: bytes) -> BoundedDiagram:
-    if len(key) < 2 or key[0] != _TAG_BOUNDED:
-        raise DiagramError("not a bounded diagram key")
+    """The representative of a bounded key this library made, unchecked."""
     k = key[1]
-    inner = canonical_diagram(key[2:])
+    inner = representative(key[2:])
     colors, slots = [], {}
     for v, c in enumerate(inner.colors):
         if c is None:
@@ -81,10 +96,8 @@ def bounded_from_key(key: bytes) -> BoundedDiagram:
             seg.append(slots[(s, p)])
             p += 1
         order.append(tuple(seg))
-    if len(slots) != sum(len(seg) for seg in order):
-        raise DiagramError("gapped leg positions in bounded key")
-    graph = Diagram(k, tuple(colors), inner.incidence)
-    return BoundedDiagram(k, graph, tuple(order))
+    graph = Diagram._assemble(k, tuple(colors), inner.incidence)
+    return BoundedDiagram._assemble(k, graph, tuple(order))
 
 
 def inject_bounded(B: BoundedDiagram, coeff=1) -> LinComb:
@@ -102,15 +115,15 @@ def enum_bounded(k: int, d: int, support: int | None = None) -> list:
     from .bases import enum_forests
 
     found = set()
-    for sk in enum_forests(k, d, support):
-        F = canonical_diagram(sk.key)
+    for key in enum_forests(k, d, support):
+        F = representative(key)
         by_color = {s: [] for s in range(1, k + 1)}
         for v, c in F.legs():
             by_color[c].append(v)
         pools = [itertools.permutations(by_color[s]) for s in range(1, k + 1)]
         for order in itertools.product(*pools):
-            found.add(canonicalize_bounded(BoundedDiagram(k, F, tuple(order))).key)
-    return [SignedCanonicalKey(key, 1) for key in sorted(found)]
+            found.add(bounded_key(BoundedDiagram._assemble(k, F, order)).key)
+    return sorted(found)
 
 
 # -- surgeries ---------------------------------------------------------------
@@ -119,7 +132,7 @@ def enum_bounded(k: int, d: int, support: int | None = None) -> list:
 def _replace_segment(B: BoundedDiagram, s: int, seg) -> BoundedDiagram:
     order = list(B.order)
     order[s - 1] = tuple(seg)
-    return BoundedDiagram(B.k, B.graph, tuple(order))
+    return BoundedDiagram._assemble(B.k, B.graph, tuple(order))
 
 
 def swap_adjacent_legs(B: BoundedDiagram, s: int, p: int) -> BoundedDiagram:
@@ -146,4 +159,4 @@ def graft_adjacent_legs(B: BoundedDiagram, s: int, p: int) -> BoundedDiagram:
         if si == s:
             seg2.insert(p, leaf)
         order.append(tuple(seg2))
-    return BoundedDiagram(B.k, graph, tuple(order))
+    return BoundedDiagram._assemble(B.k, graph, tuple(order))

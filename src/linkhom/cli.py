@@ -77,13 +77,13 @@ def _cmd_enumerate(args) -> int:
         for c in ch.enum_chord(args.d):
             lines.append(_dump({"key": ch.chord_key(c).hex(), "diagram": interchange.chord_doc(c)}))
     elif space == "forest":
-        for sk in enum_forests(args.k, args.d):
-            doc = interchange.serialize(canonical_diagram(sk.key))
-            lines.append(_dump({"key": sk.hex, "diagram": doc}))
+        for key in enum_forests(args.k, args.d):
+            doc = interchange.serialize(canonical_diagram(key))
+            lines.append(_dump({"key": key.hex(), "diagram": doc}))
     else:
-        for sk in bnd.enum_bounded(args.k, args.d):
-            doc = interchange.bounded_doc(bnd.bounded_from_key(sk.key))
-            lines.append(_dump({"key": sk.hex, "diagram": doc}))
+        for key in bnd.enum_bounded(args.k, args.d):
+            doc = interchange.bounded_doc(bnd.bounded_from_key(key))
+            lines.append(_dump({"key": key.hex(), "diagram": doc}))
     print("\n".join(lines) if lines else "", end="\n" if lines else "")
     return EXIT_OK
 
@@ -216,6 +216,12 @@ def _cmd_lk(args) -> int:
 
 
 def _cmd_hopf_check(args) -> int:
+    if args.chord_degree < 0:
+        raise UsageError(f"--chord-degree {args.chord_degree} is negative")
+    budget = _budget(args)
+    # the connect sum check builds 4T spans one degree past --chord-degree
+    spaces.check_budget("chord", None, args.chord_degree + 1, budget)
+    spaces.check_budget("bhl", args.forest_k, args.forest_degree, budget)
     checks = {}
     # chord compatibility, exhaustive at the configured degree
     pairs = 0
@@ -239,12 +245,12 @@ def _cmd_hopf_check(args) -> int:
         for d2 in range(1, args.forest_degree + 1 - d1):
             for a in enum_forests(k, d1):
                 for b in enum_forests(k, d2):
-                    x, y = LinComb.term(a.key), LinComb.term(b.key)
+                    x, y = LinComb.term(a), LinComb.term(b)
                     lhs = hopf.coproduct(hopf.product(x, y))
                     rhs = hopf.tensor_product(hopf.coproduct(x), hopf.coproduct(y))
                     if lhs != rhs:
                         raise VerificationError(
-                            f"forest compatibility fails at {a.hex} x {b.hex}")
+                            f"forest compatibility fails at {a.hex()} x {b.hex()}")
                     pairs += 1
     checks["forest_pairs"] = pairs
 

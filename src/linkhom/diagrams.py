@@ -16,6 +16,10 @@ colors in canonical label order (0 for internal vertices), then the edges as
 sorted label pairs.  The representative rebuilt from a key puts each edge's
 even half-edge at its lower label and takes every rotation in ascending
 half-edge order; the sign compares the input with that representative.
+The trees' labels are contiguous blocks and each tree's edges sort among
+themselves, so a forest's key is joined from its trees' keys: their bodies
+sorted by color sequence, labels offset, edges concatenated.  Rotation
+parities are local to a tree, so the sign is the product of the trees' signs.
 
 Labels come in linear time, after Aho, Hopcroft and Ullman's rooted tree
 isomorphism: each tree is rooted at its least-colored leg, children are
@@ -28,6 +32,13 @@ no nontrivial automorphism the sign is never 0.
 Half-edge convention: edge e owns half-edges 2e and 2e+1, mate(h) = h ^ 1, and
 every half-edge is incident to exactly one vertex.  All values are immutable;
 operations build new diagrams.
+
+Construction paths: Diagram(...), build (and through it canonical_diagram,
+which reads keys that may come from a document) validate their input.
+representative rebuilds a key the library made; it, disjoint_union,
+graft_with_map and other surgeries on valid diagrams assemble the result
+with Diagram._assemble, which computes the half-edge owners without
+re-checking what the parts guarantee.
 """
 
 from __future__ import annotations
@@ -35,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 
 from .errors import DiagramError
 from .lincomb import LinComb
@@ -72,12 +82,25 @@ class Diagram:
                 owner[h] = v
         if sorted(owner) != list(range(len(owner))) or len(owner) % 2:
             raise DiagramError("half-edge ids must be exactly 0..2E-1")
-        # every diagram needs its half-edge owners and components; keep them
         object.__setattr__(self, "_owner", tuple(owner[h] for h in range(len(owner))))
-        object.__setattr__(self, "_components", self._find_components())
         for comp in self._components:
             if not any(self.colors[v] is not None for v in comp):
                 raise DiagramError("every component needs at least one leg")
+
+    @classmethod
+    def _assemble(cls, k, colors, incidence, components=None) -> "Diagram":
+        """A diagram built from parts that are already valid, unchecked: the
+        half-edge owners are read off the incidence, and the components are
+        taken as given or found when first asked for."""
+        owner = [0] * sum(map(len, incidence))
+        for v, inc in enumerate(incidence):
+            for h in inc:
+                owner[h] = v
+        D = object.__new__(cls)
+        D.__dict__.update(k=k, colors=colors, incidence=incidence, _owner=tuple(owner))
+        if components is not None:
+            D.__dict__["_components"] = components
+        return D
 
     # -- basic structure -------------------------------------------------
 
@@ -106,7 +129,8 @@ class Diagram:
         """Vertex sets of connected components, each sorted, ordered by minimum."""
         return self._components
 
-    def _find_components(self) -> tuple:
+    @cached_property
+    def _components(self) -> tuple:
         owner, inc = self._owner, self.incidence
         seen = [False] * self.n
         comps = []
@@ -209,9 +233,10 @@ def caterpillar(colors, k) -> Diagram:
 def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
     if a.k != b.k:
         raise DiagramError("disjoint union needs equal k")
-    shift = 2 * a.n_edges
+    shift, n = 2 * a.n_edges, a.n
     inc = a.incidence + tuple(tuple(h + shift for h in t) for t in b.incidence)
-    return Diagram(a.k, a.colors + b.colors, inc)
+    comps = a.components() + tuple(tuple(v + n for v in c) for c in b.components())
+    return Diagram._assemble(a.k, a.colors + b.colors, inc, comps)
 
 
 def graft_with_map(E: Diagram, u: int, w: int):
@@ -241,7 +266,7 @@ def graft_with_map(E: Diagram, u: int, w: int):
     leaf = len(colors) + 1
     colors += [None, color]
     incidence += [(stem_u, stem_w, fresh), (fresh + 1,)]
-    return Diagram(E.k, tuple(colors), tuple(incidence)), idmap, leaf
+    return Diagram._assemble(E.k, tuple(colors), tuple(incidence)), idmap, leaf
 
 
 # -- predicates -----------------------------------------------------------
@@ -294,58 +319,71 @@ _TAG_UNITRI = 0x55
 KEY_BYTE_MAX = 255
 
 
-def _rotation_parity(a, b, c) -> int:
-    """+1 when the cyclic order (a, b, c) is the ascending class."""
-    x, y, z = sorted((a, b, c))
-    return 1 if (a, b, c) in ((x, y, z), (y, z, x), (z, x, y)) else -1
+def tree_body(key: bytes) -> tuple:
+    """The body of a tree's key, (vertex colors, edge label pairs flattened),
+    as join_trees takes it."""
+    n = key[2]
+    return tuple(key[4:4 + n]), tuple(key[4 + n:])
 
 
-def _encode(k, desc, pairs) -> bytes:
-    if max(k, len(desc), len(pairs)) > KEY_BYTE_MAX:
+def join_trees(k, trees) -> bytes:
+    """The key of the forest of these trees, each given by its key's body;
+    with canonical trees the forest's sign is +1."""
+    desc, ends = [], []
+    # equal color sequences are equal trees, so ties need no further order
+    for colors, flat in sorted(trees):
+        shift = len(desc)
+        desc += colors
+        ends += [x + shift for x in flat]
+    if max(k, len(desc), len(ends) // 2) > KEY_BYTE_MAX:
         raise DiagramError("diagram too large to encode")
-    return bytes([_TAG_UNITRI, k, len(desc), len(pairs), *desc, *(x for p in pairs for x in p)])
+    return bytes([_TAG_UNITRI, k, len(desc), len(ends) // 2, *desc, *ends])
 
 
-def _forest_key(D: Diagram, colors, k) -> SignedCanonicalKey:
-    """Canonical key of a forest whose trees have distinct leg colors."""
+def forest_key(D: Diagram, colors=None, k=None) -> SignedCanonicalKey:
+    """Canonical key of a diagram known to be a forest whose trees have
+    distinct leg colors, unchecked (canonicalize checks); joined from its
+    trees' keys, with the product of their signs.  colors and k as for
+    canonicalize."""
+    if colors is None:
+        colors, k = D.colors, D.k
     owner, inc = D._owner, D.incidence
+    up_of = [0] * D.n       # the half-edge through which the walk entered
+    flips = 0
 
     def walk(v, up):
-        """(least leg color, preorder) of the subtree at v, entered through half-edge up."""
+        """(least leg color, preorder) of the subtree at v, entered through
+        half-edge up; the subtree of the half-edge after up in v's rotation
+        comes first unless its least color is the larger one (a flip)."""
+        nonlocal flips
+        up_of[v] = up
         if colors[v] is not None:
             return colors[v], [v]
-        a, b = (walk(owner[h ^ 1], h ^ 1) for h in inc[v] if h != up)
+        h0, h1, h2 = inc[v]
+        x, y = (h1, h2) if up == h0 else (h2, h0) if up == h1 else (h0, h1)
+        a, b = walk(owner[x ^ 1], x ^ 1), walk(owner[y ^ 1], y ^ 1)
         if b[0] < a[0]:
             a, b = b, a
+            flips += 1
         return a[0], [v, *a[1], *b[1]]
 
+    label = [0] * D.n
     trees = []
     for comp in D.components():
         root = min((v for v in comp if colors[v] is not None), key=colors.__getitem__)
         h = inc[root][0]
         order = [root, *walk(owner[h ^ 1], h ^ 1)[1]]
-        trees.append((tuple(colors[v] or 0 for v in order), order))
-    trees.sort(key=itemgetter(0))
-
-    desc = [c for seq, _ in trees for c in seq]
-    label = [0] * D.n
-    for i, v in enumerate(v for _, order in trees for v in order):
-        label[v] = i
-    ends = []
-    for e in range(D.n_edges):
-        a, b = label[owner[2 * e]], label[owner[2 * e + 1]]
-        ends.append((a, b, e) if a < b else (b, a, e))
-    ends.sort()
-    # a vertex's three edges are distinct, so the edges' slots in the sorted
-    # list order its half-edges as the representative's ids do
-    slot = [0] * D.n_edges
-    for s, (_, _, e) in enumerate(ends):
-        slot[e] = s
-    sign = 1
-    for v, c in enumerate(colors):
-        if c is None:
-            sign *= _rotation_parity(*(slot[h >> 1] for h in inc[v]))
-    return SignedCanonicalKey(_encode(k, desc, [(a, b) for a, b, _ in ends]), sign)
+        for i, v in enumerate(order):
+            label[v] = i
+        # every edge joins a vertex to its parent, which comes first
+        ends = sorted((label[owner[up_of[v] ^ 1]], label[v]) for v in order[1:])
+        trees.append((tuple(colors[v] or 0 for v in order), tuple(x for e in ends for x in e)))
+    # The representative numbers edges in sorted order and takes rotations in
+    # ascending half-edge order; at an internal vertex that is (parent,
+    # first child, second child), so the input's rotation has parity -1
+    # exactly at a flip.
+    sign = -1 if flips & 1 else 1
+    return SignedCanonicalKey(join_trees(k, trees), sign)
 
 
 def canonicalize(D: Diagram, colors=None, k=None) -> SignedCanonicalKey:
@@ -361,11 +399,12 @@ def canonicalize(D: Diagram, colors=None, k=None) -> SignedCanonicalKey:
         defect = _forest_defect(D, colors)
     if defect:
         raise DiagramError(f"no canonical key: the diagram has {defect}")
-    return _forest_key(D, colors, k)
+    return forest_key(D, colors, k)
 
 
 def canonical_diagram(key: bytes) -> Diagram:
-    """Rebuild the canonical representative encoded by a key."""
+    """Rebuild the canonical representative encoded by a key, which may come
+    from a document: a key that encodes no valid diagram raises DiagramError."""
     if len(key) < 4 or key[0] != _TAG_UNITRI:
         raise DiagramError("not a unitrivalent diagram key")
     k, n, m = key[1], key[2], key[3]
@@ -374,6 +413,17 @@ def canonical_diagram(key: bytes) -> Diagram:
     colors = tuple(c if c else None for c in key[4:4 + n])
     edges = [(key[4 + n + 2 * i], key[5 + n + 2 * i]) for i in range(m)]
     return build(k, colors, edges)
+
+
+def representative(key: bytes) -> Diagram:
+    """canonical_diagram of a key this library made, such as a basis key,
+    assembled unchecked."""
+    n = key[2]
+    incidence = [[] for _ in range(n)]
+    for h, v in enumerate(key[4 + n:]):
+        incidence[v].append(h)
+    return Diagram._assemble(key[1], tuple(c if c else None for c in key[4:4 + n]),
+                             tuple(map(tuple, incidence)))
 
 
 def inject(D: Diagram, coeff=1) -> LinComb:

@@ -8,7 +8,12 @@ from .errors import ParseError
 
 
 class LinComb:
-    """Immutable map from canonical keys to nonzero Fractions."""
+    """Immutable map from canonical keys to nonzero coefficients.
+
+    A coefficient is an int or a Fraction; an int and the Fraction of the
+    same value compare, hash and print alike, so relators keep their +-1
+    coefficients as ints.
+    """
 
     __slots__ = ("_terms",)
 
@@ -16,12 +21,20 @@ class LinComb:
         clean = {}
         if terms:
             for key, coeff in (terms.items() if hasattr(terms, "items") else terms):
-                c = clean.get(key, 0) + Fraction(coeff)
+                c = clean.get(key, 0) + (coeff if type(coeff) is int else Fraction(coeff))
                 if c:
                     clean[key] = c
                 elif key in clean:
                     del clean[key]
         object.__setattr__(self, "_terms", clean)
+
+    @classmethod
+    def of_terms(cls, terms: dict) -> "LinComb":
+        """The combination held by a dict whose coefficients are already
+        nonzero ints or Fractions; the dict is taken over, not copied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        return out
 
     @classmethod
     def zero(cls) -> "LinComb":
@@ -68,19 +81,19 @@ class LinComb:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return LinComb(out)
+        return LinComb.of_terms(out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LinComb({k: -c for k, c in self._terms.items()})
+        return LinComb.of_terms({k: -c for k, c in self._terms.items()})
 
     def scale(self, factor) -> "LinComb":
         f = Fraction(factor)
         if not f:
             return LinComb.zero()
-        return LinComb({k: c * f for k, c in self._terms.items()})
+        return LinComb.of_terms({k: c * f for k, c in self._terms.items()})
 
     def __mul__(self, factor):
         return self.scale(factor)

@@ -1,8 +1,9 @@
 """Exact elimination with membership certificates, on integer rows.
 
 Rows are sparse integer vectors over a fixed, sorted column basis of
-canonical keys; a relator with rational coefficients enters as the integer
-multiple that clears its denominators.  Elimination is fraction-free and
+canonical keys; a relator with integer coefficients enters as it is, one
+with rational coefficients as the integer multiple that clears its
+denominators.  Elimination is fraction-free and
 deterministic: rows are processed in input order, a reduction step at column
 col is vec <- a*vec - b*pvec with a = lead/g, b = vec[col]/g and
 g = gcd(vec[col], lead), and a row that survives becomes a pivot after
@@ -70,15 +71,18 @@ class SparseRationalMatrix:
 
     def _to_cols(self, element: LinComb):
         """(vec, m): the integer vector m * element, m its least denominator."""
-        cols = []
-        m = 1
+        vec, m, ints = {}, 1, True
         for key, coeff in element.items():
             col = self._col_index.get(key)
             if col is None:
                 raise ValueError(f"key {key.hex()} is not in the basis")
-            cols.append((col, coeff))
-            m = lcm(m, coeff.denominator)
-        return {col: coeff.numerator * (m // coeff.denominator) for col, coeff in cols}, m
+            vec[col] = coeff
+            if type(coeff) is not int:
+                ints = False
+                m = lcm(m, coeff.denominator)
+        if ints:
+            return vec, 1
+        return {col: c.numerator * (m // c.denominator) for col, c in vec.items()}, m
 
     def add_row(self, element: LinComb, rid=None):
         if rid is None:

@@ -32,7 +32,7 @@ from . import bounded as bnd
 from . import chords as ch
 from . import relators as rel
 from .bases import enum_forests
-from .diagrams import KEY_BYTE_MAX, Diagram, canonical_diagram, canonicalize, is_boring
+from .diagrams import KEY_BYTE_MAX, Diagram, canonical_diagram, canonicalize, is_boring, representative
 from .errors import BudgetError, DiagramError, UsageError, VerificationError
 from .lincomb import LinComb
 from .qlinalg import MembershipCertificate, relator_matrix, verify_certificate
@@ -133,9 +133,7 @@ def space_basis(space: str, k, d: int, support=None):
 
 
 def _basis_keys(space: str, basis):
-    if space == "chord":
-        return [ch.chord_key(c) for c in basis]
-    return [sk.key for sk in basis]
+    return [ch.chord_key(c) for c in basis] if space == "chord" else basis
 
 
 def dim_block(space: str, k, d: int, support=None) -> SpaceReport:
@@ -202,14 +200,14 @@ def verify_main_theorem(k: int, max_degree: int, budget=None) -> list:
     certs = []
     for d in range(1, max_degree + 1):
         matrix, basis = relation_matrix_bhl(k, d)
-        for sk in basis:
-            D = canonical_diagram(sk.key)
+        for key in basis:
+            D = representative(key)
             if not is_compound(D):
                 continue
-            cert = matrix.membership(LinComb.term(sk.key))
+            cert = matrix.membership(LinComb.term(key))
             if not cert.is_member:
                 raise VerificationError(
-                    f"forest {sk.hex} of degree {d} escapes the relation span",
+                    f"forest {key.hex()} of degree {d} escapes the relation span",
                     witness=D,
                 )
             certs.append(cert)
@@ -260,9 +258,9 @@ def relator_by_id(rid: str, k: int, d: int) -> LinComb:
     if parsed and (D := _basis_forest(parsed[1], k, d)) is not None:
         kind, key, i = parsed
         if kind == "star" and i < D.n and D.colors[i] is not None:
-            return rel.star_relator(D, i, key.hex()).element
+            return rel.star_relator(D, i, key).element
         if kind == "ihx" and i in rel.internal_edges(D):
-            return rel.ihx_relator(D, i, key.hex()).element
+            return rel.ihx_relator(D, i, key).element
     raise VerificationError(f"unknown relator id {rid!r}")
 
 

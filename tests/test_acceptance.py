@@ -100,7 +100,7 @@ def _compound_count(k, dmax):
     count = 0
     for d in range(1, dmax + 1):
         for key in enum_forests(k, d):
-            D = canonical_diagram(key.key)
+            D = canonical_diagram(key)
             if any(len(comp) >= 4 for comp in D.components()):
                 count += 1
     return count
@@ -147,7 +147,7 @@ def test_a3_star_coefficient():
         D = empty(3)
         for part in [tripod(1, 2, 3, 3)] + [segment(1, 2, 3)] * m:
             D = disjoint_union(D, part)
-        terms = list(star_relator(E, u, canonicalize(E).hex).element.items())
+        terms = list(star_relator(E, u, canonicalize(E).key).element.items())
         results.append(
             len(terms) == 1
             and terms[0][0] == canonicalize(D).key
@@ -221,14 +221,14 @@ def test_a5_bounded_side_descends():
         ihx_total += len(relators)
         if relators:
             basis = enum_bounded(k, d)
-            m = relator_matrix([key.key for key in basis], stu_relators(basis))
+            m = relator_matrix(basis, stu_relators(basis))
             ihx_in_span += sum(
                 m.membership(chi_lincomb(r.element, k)).is_member for r in relators
             )
     # the listed cells have no internal edges, so exercise the descent where
     # IHX is live as well
     basis43 = enum_bounded(4, 3)
-    m43 = relator_matrix([key.key for key in basis43], stu_relators(basis43))
+    m43 = relator_matrix(basis43, stu_relators(basis43))
     live = ihx_relators(enum_forests(4, 3))
     live_ok = all(
         m43.membership(chi_lincomb(r.element, 4)).is_member for r in live
@@ -269,7 +269,7 @@ def test_a6_hopf_compatibility_and_cut_independence():
     # forest pairs with total degree <= 3 at k = 3
     classes = {0: [LinComb.term(canonicalize(empty(3)).key)]}
     for d in (1, 2, 3):
-        classes[d] = [LinComb.term(key.key) for key in enum_forests(3, d)]
+        classes[d] = [LinComb.term(key) for key in enum_forests(3, d)]
     forest_pairs = 0
     for d1 in range(4):
         for d2 in range(4 - d1):

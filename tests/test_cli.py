@@ -14,6 +14,10 @@ Core claims:
     - a budget flag for one side leaves the chord degree at its default
     - verify --certs rejects an unusable directory before it verifies
     - check-cert proves bhl certificates only and needs the space field
+    - a target key or diagram document that encodes no valid diagram is a
+      one-line error, exit 4 for check-cert and 5 for reduce and chi
+    - hopf-check checks its budget before any work: the chord side at
+      --chord-degree + 1, the forest side at --forest-k, --forest-degree
 """
 
 import io
@@ -298,6 +302,31 @@ def test_hopf_check_small():
     assert doc["connect_sum_pairs"] > 0
 
 
+@pytest.mark.parametrize("argv, expect", [
+    (["--chord-degree", "-3"], 2),
+    (["--chord-degree", "-1"], 2),
+    (["--forest-k", "0"], 2),
+    (["--forest-k", "-2"], 2),
+    (["--forest-degree", "-1"], 2),
+    (["--chord-degree", "9"], 3),
+    (["--chord-degree", "5"], 3),
+    (["--chord-degree", "5", "--budget-d", "5"], 3),
+    (["--forest-k", "6", "--forest-degree", "9"], 3),
+    (["--forest-k", "300"], 3),
+    (["--forest-k", "300", "--budget-k", "300"], 3),
+], ids=["chord-negative", "chord-minus-1", "forest-k0", "forest-k-negative",
+        "forest-degree-negative", "chord-9", "chord-5", "chord-5-budget-5",
+        "forest-6-9", "forest-k300", "forest-k300-budget"])
+def test_hopf_check_budget(argv, expect):
+    # the chord side builds 4T spans one degree past --chord-degree; every
+    # case must fail before any work, so a timeout means a missing check
+    out = subprocess.run([sys.executable, "-m", "linkhom.cli", "hopf-check", *argv],
+                         capture_output=True, text=True, env=ENV, timeout=60)
+    prefix = {2: "usage: ", 3: "budget: "}[expect]
+    assert out.returncode == expect, out.stderr
+    assert out.stderr.startswith(prefix) and out.stderr.count("\n") == 1, out.stderr
+
+
 # -- check-cert against malformed documents and wrong claims ---------------------------
 
 @pytest.fixture(scope="module")
@@ -375,6 +404,51 @@ def test_check_cert_wrong_claim_is_4(tmp_path, cert_k3_d2, change):
     doc, keys = cert_k3_d2
     err = _check(tmp_path, change(doc, keys), expect=4)
     assert err.startswith("verification failure: "), err
+
+
+# Keys of bhl(3, 2) that encode no valid diagram: k = 3 and four vertices, so
+# only rebuilding the key can reject them.
+INVALID_KEYS = {
+    # an edge ends at vertex 4 of 0..3
+    "missing-vertex": bytes([0x55, 3, 4, 3, 1, 2, 3, 0, 0, 3, 1, 3, 2, 4]),
+    # leg 0 carries two edges and leg 2 none
+    "leg-two-edges": bytes([0x55, 3, 4, 2, 1, 2, 1, 2, 0, 1, 0, 3]),
+    # two internal vertices joined by three edges, a component without legs
+    "no-leg-component": bytes([0x55, 3, 4, 4, 0, 0, 1, 2, 0, 1, 0, 1, 0, 1, 2, 3]),
+    # the tripod's key without its last byte
+    "truncated": bytes([0x55, 3, 4, 3, 1, 0, 2, 3, 0, 1, 1, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_KEYS))
+def test_check_cert_invalid_target_key(tmp_path, cert_k3_d2, name):
+    doc, _ = cert_k3_d2
+    key = INVALID_KEYS[name]
+    err = _check(tmp_path, _with(doc, target=[{"key": key.hex(), "coeff": "1"}]), expect=4)
+    assert err.startswith("verification failure: target is not one basis forest"), err
+    with pytest.raises(linkhom.DiagramError):
+        linkhom.canonical_diagram(key)
+
+
+@pytest.mark.parametrize("command", ["reduce", "chi"])
+@pytest.mark.parametrize("name", ["missing-vertex", "leg-two-edges", "no-leg-component"])
+def test_invalid_diagram_document_is_5(tmp_path, command, name):
+    doc = json.loads(json.dumps(TRIPOD_DOC))
+    if name == "missing-vertex":
+        doc["edges"][2]["ends"] = [3, 9]
+    elif name == "leg-two-edges":
+        doc["edges"][2]["ends"] = [3, 0]
+    else:
+        doc["vertices"] = [{"id": 0, "kind": "tri"}, {"id": 1, "kind": "tri"},
+                           {"id": 2, "kind": "uni", "color": 1},
+                           {"id": 3, "kind": "uni", "color": 2}]
+        doc["edges"] = [{"id": i, "ends": [0, 1]} for i in range(3)]
+        doc["edges"].append({"id": 3, "ends": [2, 3]})
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(doc))
+    err = _proc(command, "--input", str(path), "-k", "3", expect=5).stderr
+    assert err.startswith("parse error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err, err
 
 
 def test_check_cert_over_budget_is_3(tmp_path, cert_k3_d2):
@@ -482,7 +556,7 @@ def certs_k3_d3(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("certs33")
     _run("verify", "-k", "3", "--max-degree", "3", "--certs", str(outdir))
     docs = [json.loads(p.read_text()) for p in sorted(outdir.glob("cert-*.json"))]
-    other_keys = [sk.hex for k, d in ((3, 2), (2, 3), (4, 3)) for sk in enum_forests(k, d)]
+    other_keys = [key.hex() for k, d in ((3, 2), (2, 3), (4, 3)) for key in enum_forests(k, d)]
     return docs, other_keys, outdir / "mutated.json"
 
 

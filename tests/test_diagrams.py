@@ -33,11 +33,11 @@ from linkhom.diagrams import (
     disjoint_union,
     empty,
     first_betti,
-    _encode,
-    _rotation_parity,
+    graft_with_map,
     inject,
     is_boring,
     mate,
+    representative,
     segment,
     tripod,
 )
@@ -255,6 +255,17 @@ def _slot_groups(D: Diagram, pi, pairs):
     return groups
 
 
+def _rotation_parity(a, b, c) -> int:
+    """+1 when the cyclic order (a, b, c) is the ascending class."""
+    x, y, z = sorted((a, b, c))
+    return 1 if (a, b, c) in ((x, y, z), (y, z, x), (z, x, y)) else -1
+
+
+def _encode(k, desc, pairs) -> bytes:
+    """The key format: tag, k, vertex and edge counts, colors, edge pairs."""
+    return bytes([0x55, k, len(desc), len(pairs), *desc, *(x for p in pairs for x in p)])
+
+
 def _search_key(D: Diagram) -> SignedCanonicalKey:
     """Canonical key by trying every ordering of every refined cell."""
     cells = _refined_cells(D)
@@ -322,6 +333,34 @@ def test_build_rejects_wrong_valence():
     # univalent vertex with two edges
     with pytest.raises(DiagramError):
         build(2, [1, 2, None], [(0, 2), (0, 2), (1, 2)], {2: (0, 1, 2)})
+
+
+@pytest.mark.parametrize("colors, incidence", [
+    ((1, 2), ((0, 1), ())),                 # a leg with two half-edges
+    ((1, 2, None), ((0,), (1,), (2, 3))),   # an internal vertex with two
+    ((1, 2), ((0,), (0,))),                 # a half-edge at two vertices
+    ((1, 2), ((0,), (2,))),                 # half-edge ids with a gap
+    ((None, None, 1, 2), ((0, 2, 4), (1, 3, 5), (6,), (7,))),   # a component without legs
+    ((1, 3), ((0,), (1,))),                 # a color outside 1..k
+], ids=["leg-two", "internal-two", "shared", "gap", "no-leg", "color"])
+def test_diagram_constructor_validates(colors, incidence):
+    with pytest.raises(DiagramError):
+        Diagram(2, colors, incidence)
+
+
+def test_assembled_diagrams_equal_validated_ones():
+    # disjoint_union, graft_with_map and representative skip validation; a
+    # validated rebuild has the same owners and components
+    D = disjoint_union(tripod(1, 2, 3, 4), segment(1, 4, 4))
+    G = graft_with_map(D, 0, 4)[0]
+    R = representative(canonicalize(G).key)
+    for X in (D, G, R):
+        Y = Diagram(X.k, X.colors, X.incidence)
+        assert Y == X
+        assert [Y.vertex_of(h) for h in range(2 * Y.n_edges)] == \
+            [X.vertex_of(h) for h in range(2 * X.n_edges)]
+        assert Y.components() == X.components()
+    assert R == canonical_diagram(canonicalize(G).key)
 
 
 def test_build_default_rotation_is_edge_order():

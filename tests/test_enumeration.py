@@ -6,7 +6,8 @@ Core claims:
     - chord class counts match brute-force matchings modulo rotation
     - the pruned chord key equals the least pairing over all rotations and
       is invariant under rotation
-    - every enumerated basis element is non-boring with nonzero sign
+    - every enumerated basis key rebuilds to a non-boring diagram whose key
+      it is, with sign +1
     - enumeration is deterministic and duplicate-free
     - degree-1 forests are exactly the color pairs
     - the support block on colors 1..m holds exactly the basis elements whose
@@ -20,9 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkhom.bases import enum_forests, trees_on_colors
-from linkhom.bounded import bounded_from_key, enum_bounded
+from linkhom.bounded import bounded_from_key, canonicalize_bounded, enum_bounded
 from linkhom.chords import ChordDiagram, chord_key, enum_chord, rotate
-from linkhom.diagrams import canonical_diagram, canonicalize, is_boring
+from linkhom.diagrams import SignedCanonicalKey, canonical_diagram, canonicalize, is_boring
 
 
 # -- Oracles -------------------------------------------------------------------
@@ -105,23 +106,26 @@ def test_degree_one_forests_are_color_pairs(k):
     assert len(enum_forests(k, 1)) == k * (k - 1) // 2
 
 
-def test_forests_are_interesting_with_nonzero_sign():
-    for key in enum_forests(4, 3):
-        assert key.sign != 0
-        D = canonical_diagram(key.key)
+@pytest.mark.parametrize("k,d", [(k, d) for k in range(1, 6) for d in range(5)])
+def test_forest_keys_round_trip_with_sign_plus_one(k, d):
+    # the enumerator joins keys from tree keys without building the forest;
+    # rebuilding and canonicalizing each one must give it back with sign +1
+    keys = enum_forests(k, d)
+    assert keys == sorted(keys)
+    for key in keys:
+        D = canonical_diagram(key)
         assert not is_boring(D)
-        # basis elements are stored canonically: re-canonicalizing is stable
-        assert canonicalize(D).key == key.key
+        assert canonicalize(D) == SignedCanonicalKey(key, 1)
 
 
 def test_forest_keys_distinct():
-    keys = [key.key for key in enum_forests(4, 3)]
+    keys = enum_forests(4, 3)
     assert len(keys) == len(set(keys))
 
 
 def test_forest_enumeration_deterministic():
-    a = [key.key for key in enum_forests(3, 3)]
-    b = [key.key for key in enum_forests(3, 3)]
+    a = enum_forests(3, 3)
+    b = enum_forests(3, 3)
     assert a == b
 
 
@@ -134,7 +138,7 @@ def test_trees_on_colors_double_factorial():
 
 def test_components_have_distinct_colors():
     for key in enum_forests(4, 4):
-        D = canonical_diagram(key.key)
+        D = canonical_diagram(key)
         for comp in D.components():
             legs = [D.colors[v] for v in comp if D.colors[v] is not None]
             assert len(legs) == len(set(legs))
@@ -157,10 +161,10 @@ def _segments(key):
 ], ids=["forests", "bounded"])
 def test_support_blocks_partition_the_basis(enum, support, cells):
     for k, d in cells:
-        whole = [sk.key for sk in enum(k, d)]
+        whole = enum(k, d)
         total = 0
         for m in range(k + 1):
-            block = [sk.key for sk in enum(k, d, m)]
+            block = enum(k, d, m)
             assert block == [key for key in whole if support(key) == set(range(1, m + 1))], \
                 (k, d, m)
             total += comb(k, m) * len(block)
@@ -221,15 +225,19 @@ def test_bounded_counts_small():
     assert len(enum_bounded(3, 2)) == 13
 
 
-def test_bounded_keys_materialize():
-    for key in enum_bounded(3, 2):
-        B = bounded_from_key(key.key)
-        assert B.k == 3
-        assert B.graph.degree() == 2
-        assert canonicalize(B.graph).sign != 0
+@pytest.mark.parametrize("k,d", [(k, d) for k in range(1, 5) for d in range(4)])
+def test_bounded_keys_round_trip_with_sign_plus_one(k, d):
+    keys = enum_bounded(k, d)
+    assert keys == sorted(keys)
+    for key in keys:
+        B = bounded_from_key(key)
+        assert B.k == k
+        assert B.graph.degree() == d
+        assert not is_boring(B.graph)
+        assert canonicalize_bounded(B) == SignedCanonicalKey(key, 1)
 
 
 def test_bounded_enumeration_deterministic():
-    a = [key.key for key in enum_bounded(3, 2)]
-    b = [key.key for key in enum_bounded(3, 2)]
+    a = enum_bounded(3, 2)
+    b = enum_bounded(3, 2)
     assert a == b

@@ -95,7 +95,7 @@ def _chord_classes(max_d):
 def _forest_classes(k, max_d):
     out = [LinComb.term(canonicalize(empty(k)).key)]
     for d in range(1, max_d + 1):
-        out.extend(LinComb.term(key.key) for key in enum_forests(k, d))
+        out.extend(LinComb.term(key) for key in enum_forests(k, d))
     return out
 
 

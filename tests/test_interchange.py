@@ -35,8 +35,8 @@ from linkhom.relators import star_relators
 @pytest.mark.parametrize("k,d", [(2, 2), (3, 2), (3, 3), (4, 3)])
 def test_forest_round_trip(k, d):
     for key in enum_forests(k, d):
-        D = canonical_diagram(key.key)
-        assert canonicalize(parse(serialize(D))).key == key.key
+        D = canonical_diagram(key)
+        assert canonicalize(parse(serialize(D))).key == key
 
 
 def test_parse_accepts_json_text():
@@ -60,7 +60,7 @@ def test_chord_round_trip(d):
 
 def test_bounded_round_trip():
     for key in enum_bounded(3, 2):
-        B = bounded_from_key(key.key)
+        B = bounded_from_key(key)
         C = parse_bounded(bounded_doc(B))
         assert C.k == B.k
         assert C.order == B.order

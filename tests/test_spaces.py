@@ -81,7 +81,7 @@ def whole_cell_doc(space: str, k: int, d: int) -> dict:
     """dim --json of a cell by the whole-cell pipeline: every basis element,
     every relator, one matrix.  The oracle for the support-block sum."""
     basis = space_basis(space, k, d)
-    keys = [sk.key for sk in basis]
+    keys = basis
     groups = _relators_for(space, k, d, basis)
     rank = relator_matrix(keys, [r for rs in groups.values() for r in rs]).rank()
     return {"space": space, "k": k, "d": d, "basis": len(keys),
@@ -222,7 +222,7 @@ def test_chi_lincomb_linear():
 
 def test_chi_ihx_lands_in_stu_span():
     basis = enum_bounded(4, 3)
-    m = relator_matrix([key.key for key in basis], stu_relators(basis))
+    m = relator_matrix(basis, stu_relators(basis))
     for r in ihx_relators(enum_forests(4, 3)):
         assert m.membership(chi_lincomb(r.element, 4)).is_member
 
@@ -230,7 +230,7 @@ def test_chi_ihx_lands_in_stu_span():
 def test_chi_star_lands_in_stu_link1_span():
     basis = enum_bounded(3, 2)
     m = relator_matrix(
-        [key.key for key in basis],
+        basis,
         stu_relators(basis) + link1_relators(basis),
     )
     for r in star_relators(enum_forests(3, 2)):
@@ -275,10 +275,10 @@ def test_relator_ids_rebuild_as_the_global_table(k, d):
     for rid, element in table.items():
         assert relator_by_id(rid, k, d) == element, rid
     accepted = 0
-    for sk in space_basis("bhl", k, d):
-        D = canonical_diagram(sk.key)
-        ids = [f"star:{sk.hex}:{u}" for u in range(-1, D.n + 1)]
-        ids += [f"ihx:{sk.hex}:{e}" for e in range(-1, D.n_edges + 1)]
+    for key in space_basis("bhl", k, d):
+        D = canonical_diagram(key)
+        ids = [f"star:{key.hex()}:{u}" for u in range(-1, D.n + 1)]
+        ids += [f"ihx:{key.hex()}:{e}" for e in range(-1, D.n_edges + 1)]
         for rid in ids:
             got = _rebuilt(rid, k, d)
             assert (got is not None) == (rid in table), rid
