@@ -6,7 +6,7 @@ resulting dimension and triviality statements.
 """
 
 from .bases import enum_forests, trees_on_colors
-from .bounded import BoundedDiagram, canonicalize_bounded, enum_bounded, inject_bounded
+from .bounded import BoundedDiagram, enum_bounded, inject_bounded
 from .chords import ChordDiagram, chord_key, enum_chord, inject_chord
 from .diagrams import (
     Diagram,
@@ -14,10 +14,8 @@ from .diagrams import (
     build,
     canonical_diagram,
     canonicalize,
-    caterpillar,
     disjoint_union,
     empty,
-    first_betti,
     graft_with_map,
     inject,
     is_boring,
@@ -25,17 +23,9 @@ from .diagrams import (
     tripod,
 )
 from .errors import BudgetError, DiagramError, ParseError, UsageError, VerificationError
-from .gauss import (
-    GaussLink,
-    gauss_text,
-    linking_matrix,
-    parse_gauss,
-    parse_pd,
-    random_homotopy_move,
-    reverse_component,
-)
+from .gauss import GaussLink, linking_matrix, parse_gauss, parse_pd, random_homotopy_move
 from .hopf import coproduct, is_primitive, product
-from .interchange import parse, serialize, serialize_text
+from .interchange import parse, serialize
 from .lincomb import LinComb
 from .qlinalg import (
     MembershipCertificate,
@@ -68,20 +58,19 @@ __version__ = "0.1.0"
 __all__ = [
     # bases, bounded, chords
     "enum_forests", "trees_on_colors",
-    "BoundedDiagram", "canonicalize_bounded", "enum_bounded", "inject_bounded",
+    "BoundedDiagram", "enum_bounded", "inject_bounded",
     "ChordDiagram", "chord_key", "enum_chord", "inject_chord",
     # diagrams
     "Diagram", "SignedCanonicalKey", "build", "canonical_diagram", "canonicalize",
-    "caterpillar", "disjoint_union", "empty", "first_betti", "graft_with_map",
-    "inject", "is_boring", "segment", "tripod",
+    "disjoint_union", "empty", "graft_with_map", "inject", "is_boring", "segment",
+    "tripod",
     # errors
     "BudgetError", "DiagramError", "ParseError", "UsageError", "VerificationError",
     # gauss
-    "GaussLink", "gauss_text", "linking_matrix", "parse_gauss", "parse_pd",
-    "random_homotopy_move", "reverse_component",
+    "GaussLink", "linking_matrix", "parse_gauss", "parse_pd", "random_homotopy_move",
     # hopf, interchange, lincomb
     "coproduct", "is_primitive", "product",
-    "parse", "serialize", "serialize_text",
+    "parse", "serialize",
     "LinComb",
     # qlinalg
     "MembershipCertificate", "SparseRationalMatrix", "certificate_doc",

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagrams
-from .diagrams import Diagram, SignedCanonicalKey, canonicalize, forest_key, representative
+from .diagrams import Diagram, SignedCanonicalKey, forest_key, representative
 from .errors import DiagramError
 from .lincomb import LinComb
 
@@ -67,12 +67,8 @@ def _keyed(B: BoundedDiagram, inner: SignedCanonicalKey) -> SignedCanonicalKey:
     return SignedCanonicalKey(bytes([_TAG_BOUNDED, B.k]) + inner.key, inner.sign)
 
 
-def canonicalize_bounded(B: BoundedDiagram) -> SignedCanonicalKey:
-    return _keyed(B, canonicalize(B.graph, *_slot_colors(B)))
-
-
 def bounded_key(B: BoundedDiagram) -> SignedCanonicalKey:
-    """canonicalize_bounded of a bounded diagram known to have no cycle,
+    """Canonical key and sign of a bounded diagram without a cycle,
     unchecked."""
     return _keyed(B, forest_key(B.graph, *_slot_colors(B)))
 
@@ -102,11 +98,21 @@ def bounded_from_key(key: bytes) -> BoundedDiagram:
 
 def inject_bounded(B: BoundedDiagram, coeff=1) -> LinComb:
     # boring means two legs of one component on one segment, or a cycle: it
-    # is decided by segment colors, while the key uses slot colors
+    # is decided by segment colors, while the key uses slot colors, which
+    # are distinct, so what is not boring is a forest bounded_key can key
     if diagrams.is_boring(B.graph):
         return LinComb.zero()
-    sk = canonicalize_bounded(B)
+    sk = bounded_key(B)
     return LinComb.term(sk.key, Fraction(coeff) * sk.sign)
+
+
+def leg_orders(D: Diagram):
+    """Every way to place D's legs on the segments of their colors: one
+    permutation of each color's legs, as BoundedDiagram orders."""
+    by_color = [[] for _ in range(D.k)]
+    for v, c in D.legs():
+        by_color[c - 1].append(v)
+    return itertools.product(*map(itertools.permutations, by_color))
 
 
 def enum_bounded(k: int, d: int, support: int | None = None) -> list:
@@ -117,11 +123,7 @@ def enum_bounded(k: int, d: int, support: int | None = None) -> list:
     found = set()
     for key in enum_forests(k, d, support):
         F = representative(key)
-        by_color = {s: [] for s in range(1, k + 1)}
-        for v, c in F.legs():
-            by_color[c].append(v)
-        pools = [itertools.permutations(by_color[s]) for s in range(1, k + 1)]
-        for order in itertools.product(*pools):
+        for order in leg_orders(F):
             found.add(bounded_key(BoundedDiagram._assemble(k, F, order)).key)
     return sorted(found)
 

@@ -138,7 +138,7 @@ def _doc_str(x):
 
 def _cmd_check_cert(args) -> int:
     budget = _budget(args)
-    doc = json.loads(_read(args.cert))
+    doc = interchange._load(_read(args.cert))
     k, d = _doc_int(doc, "k", 1), _doc_int(doc, "d", 0)
     cert = certificate_from_doc(doc)
     space = doc_field(doc, "space", _doc_str)
@@ -150,11 +150,18 @@ def _cmd_check_cert(args) -> int:
     return EXIT_OK
 
 
-def _cmd_reduce(args) -> int:
+def _input_diagram(args):
+    """The diagram document named by --input; its k must be the -k given."""
+    if args.k < 1:
+        raise UsageError(f"-k {args.k} is below 1")
     D = interchange.parse(_read(args.input))
     if D.k != args.k:
         raise ParseError(f"diagram has k={D.k}, expected {args.k}")
-    L = inject(D)
+    return D
+
+
+def _cmd_reduce(args) -> int:
+    L = inject(_input_diagram(args))
     monomials = spaces.reduce_to_monomials(L, args.k)
     if args.json:
         doc = [{"monomial": spaces.monomial_str(m), "coeff": str(c)}
@@ -170,9 +177,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_chi(args) -> int:
-    D = interchange.parse(_read(args.input))
-    if D.k != args.k:
-        raise ParseError(f"diagram has k={D.k}, expected {args.k}")
+    budget = _budget(args)
+    D = _input_diagram(args)
+    # chi expands one attachment per permutation of each color's legs
+    spaces.check_budget("ahl", args.k, D.degree(), budget)
     image = spaces.chi(D, args.k)
     if args.json:
         print(_dump(terms_doc(image)))
@@ -186,6 +194,8 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_lk(args) -> int:
+    if args.fuzz < 0:
+        raise UsageError(f"--fuzz {args.fuzz} is negative")
     text = _read(args.input)
     L = gauss.parse_pd(text) if args.pd else gauss.parse_gauss(text)
     matrix = gauss.linking_matrix(L)
@@ -358,7 +368,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ParseError, DiagramError, json.JSONDecodeError) as exc:
+    except (ParseError, DiagramError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

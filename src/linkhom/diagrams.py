@@ -29,9 +29,9 @@ determines its tree (it is the tree's Polish notation), so trees with equal
 sequences are interchangeable, and since a tree with distinct leg colors has
 no nontrivial automorphism the sign is never 0.
 
-Half-edge convention: edge e owns half-edges 2e and 2e+1, mate(h) = h ^ 1, and
-every half-edge is incident to exactly one vertex.  All values are immutable;
-operations build new diagrams.
+Half-edge convention: edge e owns half-edges 2e and 2e+1, the mate of h is
+h ^ 1, and every half-edge is incident to exactly one vertex.  All values are
+immutable; operations build new diagrams.
 
 Construction paths: Diagram(...), build (and through it canonical_diagram,
 which reads keys that may come from a document) validate their input.
@@ -49,10 +49,6 @@ from functools import cached_property
 
 from .errors import DiagramError
 from .lincomb import LinComb
-
-
-def mate(h: int) -> int:
-    return h ^ 1
 
 
 @dataclass(frozen=True)
@@ -117,9 +113,6 @@ class Diagram:
 
     def edge_ends(self, e: int) -> tuple:
         return self._owner[2 * e], self._owner[2 * e + 1]
-
-    def is_leg(self, v: int) -> bool:
-        return self.colors[v] is not None
 
     def legs(self):
         """(vertex, color) pairs in vertex order."""
@@ -213,23 +206,6 @@ def tripod(a, b, c, k) -> Diagram:
     return build(k, [a, b, c, None], [(3, 0), (3, 1), (3, 2)], {3: (0, 1, 2)})
 
 
-def caterpillar(colors, k) -> Diagram:
-    """A spine of internal vertices with the given leaf colors hung in order."""
-    m = len(colors)
-    if m < 2:
-        raise DiagramError("a tree needs at least two leaves")
-    if m == 2:
-        return segment(colors[0], colors[1], k)
-    verts = list(colors) + [None] * (m - 2)
-    spine = list(range(m, 2 * m - 2))
-    edges = [(spine[0], 0), (spine[0], 1)]
-    for i, t in enumerate(spine[1:], start=1):
-        edges.append((spine[i - 1], t))
-        edges.append((t, i + 1))
-    edges.append((spine[-1], m - 1))
-    return build(k, verts, edges)
-
-
 def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
     if a.k != b.k:
         raise DiagramError("disjoint union needs equal k")
@@ -270,16 +246,6 @@ def graft_with_map(E: Diagram, u: int, w: int):
 
 
 # -- predicates -----------------------------------------------------------
-
-
-def first_betti(D: Diagram, component) -> int:
-    """Rank of the first homology of one component, E - V + 1."""
-    comp = tuple(sorted(component))
-    if comp not in D.components():
-        raise DiagramError("not a component of this diagram")
-    cset = set(comp)
-    e = sum(1 for i in range(D.n_edges) if D.edge_ends(i)[0] in cset)
-    return e - len(comp) + 1
 
 
 def _forest_defect(D: Diagram, colors):
@@ -345,6 +311,8 @@ def forest_key(D: Diagram, colors=None, k=None) -> SignedCanonicalKey:
     distinct leg colors, unchecked (canonicalize checks); joined from its
     trees' keys, with the product of their signs.  colors and k as for
     canonicalize."""
+    if D.n > KEY_BYTE_MAX:      # also bounds the walk's recursion depth
+        raise DiagramError("diagram too large to encode")
     if colors is None:
         colors, k = D.colors, D.k
     owner, inc = D._owner, D.incidence

@@ -49,9 +49,6 @@ class GaussLink:
     def k(self) -> int:
         return len(self.components)
 
-    def sign_of(self, cid: int) -> int:
-        return dict(self.signs)[cid]
-
     def component_of(self, cid: int):
         out = [ci for ci, comp in enumerate(self.components)
                for c, _ in comp if c == cid]
@@ -90,28 +87,7 @@ def parse_gauss(text: str) -> GaussLink:
                 raise ParseError(f"line {ln}, token {ti}: sign conflict at crossing {cid}")
             comp.append((cid, role))
         components.append(comp)
-    counts = {}
-    for comp in components:
-        for cid, role in comp:
-            counts.setdefault(cid, []).append(role)
-    for cid, roles in sorted(counts.items()):
-        if len(roles) != 2:
-            raise ParseError(f"crossing {cid} appears {len(roles)} times, need exactly 2")
-        if sorted(roles) != ["o", "u"]:
-            raise ParseError(f"crossing {cid} has roles {'/'.join(roles)}, need one o and one u")
     return _link(components, signs)
-
-
-def gauss_text(L: GaussLink) -> str:
-    signs = dict(L.signs)
-    lines = []
-    for comp in L.components:
-        if not comp:
-            lines.append("()")
-            continue
-        lines.append(" ".join(f"{'+' if signs[cid] > 0 else '-'}{cid}^{role}"
-                              for cid, role in comp))
-    return "\n".join(lines) + "\n"
 
 
 _PD_X = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]$")
@@ -211,18 +187,6 @@ def linking_matrix(L: GaussLink):
                 raise ParseError(f"odd signed count between components {i + 1} and {j + 1}")
             out[i][j] = twice[i][j] // 2
     return out
-
-
-def reverse_component(L: GaussLink, i: int) -> GaussLink:
-    """Reverse the orientation of component i; mixed crossing signs flip."""
-    signs = dict(L.signs)
-    comps = [list(c) for c in L.components]
-    comps[i] = comps[i][::-1]
-    for cid in signs:
-        a, b = L.component_of(cid)
-        if (a == i) != (b == i):
-            signs[cid] = -signs[cid]
-    return _link(comps, signs)
 
 
 # -- homotopy moves --------------------------------------------------------------

@@ -27,26 +27,20 @@ def _tag(key: bytes) -> int:
 
 
 def subdiagram(D: Diagram, comps) -> Diagram:
-    """Restriction of D to the given components (tuples from D.components())."""
+    """Restriction of D to the given components (tuples from D.components()):
+    kept vertices and edges are renumbered in order, and half-edge 2e + b
+    becomes 2 * new(e) + b."""
     keep = sorted(v for comp in comps for v in comp)
-    relabel = {v: i for i, v in enumerate(keep)}
-    kept_edges = []
-    edge_relabel = {}
-    for e in range(D.n_edges):
-        u, v = (D.vertex_of(2 * e), D.vertex_of(2 * e + 1))
-        if u in relabel:
-            edge_relabel[e] = len(kept_edges)
-            kept_edges.append((relabel[u], relabel[v]))
-    rotations = {}
-    for v in keep:
-        if D.colors[v] is None:
-            rotations[relabel[v]] = tuple(edge_relabel[h // 2] for h in D.incidence[v])
-    return build(
-        D.k,
-        [D.colors[v] for v in keep],
-        kept_edges,
-        rotations,
-    )
+    new = {e: i for i, e in enumerate(sorted({h // 2 for v in keep for h in D.incidence[v]}))}
+    return Diagram._assemble(D.k, tuple(D.colors[v] for v in keep), tuple(
+        tuple(2 * new[h // 2] + h % 2 for h in D.incidence[v]) for v in keep))
+
+
+def _splits(n: int):
+    """Every (left, right) split of range(n) into two index tuples."""
+    for r in range(n + 1):
+        for left in itertools.combinations(range(n), r):
+            yield left, tuple(i for i in range(n) if i not in left)
 
 
 # -- products -----------------------------------------------------------------
@@ -66,11 +60,8 @@ def product_keys(a: bytes, b: bytes) -> LinComb:
 
 
 def product(x: LinComb, y: LinComb) -> LinComb:
-    out = LinComb.zero()
-    for a, ca in x.items():
-        for b, cb in y.items():
-            out = out + product_keys(a, b).scale(ca * cb)
-    return out
+    return LinComb((key, ca * cb * c) for a, ca in x.items() for b, cb in y.items()
+                   for key, c in product_keys(a, b).items())
 
 
 # -- coproducts ---------------------------------------------------------------
@@ -79,36 +70,28 @@ def product(x: LinComb, y: LinComb) -> LinComb:
 def coproduct_key(key: bytes) -> LinComb:
     """Sum of left/right splittings as a tensor LinComb."""
     t = _tag(key)
-    out = LinComb.zero()
     if t == _CHORD:
         c = ch.chord_from_key(key)
-        idx = range(c.d)
-        for r in range(c.d + 1):
-            for left in itertools.combinations(idx, r):
-                right = tuple(i for i in idx if i not in left)
-                lk = ch.chord_key(ch.restrict(c, left))
-                rk = ch.chord_key(ch.restrict(c, right))
-                out = out + LinComb.term((lk, rk))
-        return out
-    if t == _TAG_UNITRI:
+        n = c.d
+
+        def part(index):
+            return LinComb.term(ch.chord_key(ch.restrict(c, index)))
+    elif t == _TAG_UNITRI:
         D = canonical_diagram(key)
         comps = D.components()
-        for r in range(len(comps) + 1):
-            for left in itertools.combinations(range(len(comps)), r):
-                lc = inject(subdiagram(D, [comps[i] for i in left]))
-                rc = inject(subdiagram(D, [comps[i] for i in range(len(comps)) if i not in left]))
-                for lk, cl in lc.items():
-                    for rk, cr in rc.items():
-                        out = out + LinComb.term((lk, rk), cl * cr)
-        return out
-    raise DiagramError(f"no coproduct for key tag {t:#x}")
+        n = len(comps)
+
+        def part(index):
+            return inject(subdiagram(D, [comps[i] for i in index]))
+    else:
+        raise DiagramError(f"no coproduct for key tag {t:#x}")
+    return LinComb(term for left, right in _splits(n)
+                   for term in tensor(part(left), part(right)).items())
 
 
 def coproduct(x: LinComb) -> LinComb:
-    out = LinComb.zero()
-    for key, coeff in x.items():
-        out = out + coproduct_key(key).scale(coeff)
-    return out
+    return LinComb((pair, coeff * c) for key, coeff in x.items()
+                   for pair, c in coproduct_key(key).items())
 
 
 # -- tensor helpers -----------------------------------------------------------
@@ -116,24 +99,13 @@ def coproduct(x: LinComb) -> LinComb:
 
 def tensor(x: LinComb, y: LinComb) -> LinComb:
     """x (x) y as a tensor LinComb."""
-    out = {}
-    for a, ca in x.items():
-        for b, cb in y.items():
-            out[(a, b)] = out.get((a, b), 0) + ca * cb
-    return LinComb(out)
+    return LinComb(((a, b), ca * cb) for a, ca in x.items() for b, cb in y.items())
 
 
 def tensor_product(s: LinComb, t: LinComb) -> LinComb:
     """Componentwise product of tensors: (a (x) b)(c (x) d) = ac (x) bd."""
-    out = LinComb.zero()
-    for (a, b), cs in s.items():
-        for (c, d), ct in t.items():
-            left = product_keys(a, c)
-            right = product_keys(b, d)
-            for lk, cl in left.items():
-                for rk, cr in right.items():
-                    out = out + LinComb.term((lk, rk), cs * ct * cl * cr)
-    return out
+    return LinComb((pair, cs * ct * cp) for (a, b), cs in s.items() for (c, d), ct in t.items()
+                   for pair, cp in tensor(product_keys(a, c), product_keys(b, d)).items())
 
 
 # -- primitivity --------------------------------------------------------------

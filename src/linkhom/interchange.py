@@ -22,7 +22,6 @@ from . import bounded as bnd
 from . import chords as ch
 from .diagrams import Diagram, build
 from .errors import ParseError
-from .lincomb import terms_doc
 
 
 def serialize(D: Diagram) -> dict:
@@ -37,22 +36,25 @@ def serialize(D: Diagram) -> dict:
     return {"k": D.k, "vertices": vertices, "edges": edges}
 
 
-def serialize_text(D: Diagram) -> str:
-    return json.dumps(serialize(D), sort_keys=True, separators=(",", ":"))
-
-
 def _require(cond, where, message):
     if not cond:
         raise ParseError(f"{where}: {message}")
 
 
+def _load(doc):
+    """A document given as JSON text, decoded; a dict or list as it is.
+    Text that is not JSON, or nests too deeply to decode, is a ParseError."""
+    if not isinstance(doc, (str, bytes)):
+        return doc
+    try:
+        return json.loads(doc)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"not valid JSON: {exc}") from None
+
+
 def parse(doc) -> Diagram:
     """Read a diagram document (dict or JSON text); errors name the offender."""
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from None
+    doc = _load(doc)
     _require(isinstance(doc, dict), "document", "expected an object")
     for field in ("k", "vertices", "edges"):
         _require(field in doc, "document", f"missing field {field!r}")
@@ -132,11 +134,8 @@ def chord_doc(c: ch.ChordDiagram) -> dict:
 
 
 def parse_chord(doc) -> ch.ChordDiagram:
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from None
+    """Read a chord document: the diagram of an enumerate --space chord line."""
+    doc = _load(doc)
     _require(isinstance(doc, dict) and isinstance(doc.get("pairing"), list),
              "document", "expected an object with a pairing list")
     try:
@@ -151,11 +150,9 @@ def bounded_doc(B: bnd.BoundedDiagram) -> dict:
 
 
 def parse_bounded(doc) -> bnd.BoundedDiagram:
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from None
+    """Read a bounded document: the diagram of an enumerate --space bounded
+    line."""
+    doc = _load(doc)
     for field in ("k", "graph", "order"):
         _require(isinstance(doc, dict) and field in doc, "document", f"missing field {field!r}")
     graph = parse(doc["graph"])
@@ -163,7 +160,3 @@ def parse_bounded(doc) -> bnd.BoundedDiagram:
         return bnd.BoundedDiagram(doc["k"], graph, tuple(tuple(seg) for seg in doc["order"]))
     except Exception as exc:
         raise ParseError(str(exc)) from None
-
-
-def relator_doc(relator) -> dict:
-    return {"id": relator.rid, "element": terms_doc(relator.element)}

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from . import bounded as bnd
 from . import chords as ch
@@ -132,18 +132,20 @@ def space_basis(space: str, k, d: int, support=None):
     raise ValueError(f"unknown space {space!r}")
 
 
-def _basis_keys(space: str, basis):
-    return [ch.chord_key(c) for c in basis] if space == "chord" else basis
+def block_matrix(space: str, k, d: int, support=None):
+    """(relator matrix, basis keys, relators by kind) of one block of the
+    (k, d) cell: with support=m the part on colors exactly 1..m, else the
+    whole cell.  relator_matrix raises ValueError should a relator leave the
+    block."""
+    basis = space_basis(space, k, d, support)
+    keys = [ch.chord_key(c) for c in basis] if space == "chord" else basis
+    groups = _relators_for(space, k, d, basis)
+    return relator_matrix(keys, [r for rs in groups.values() for r in rs]), keys, groups
 
 
 def dim_block(space: str, k, d: int, support=None) -> SpaceReport:
-    """The report of one block of the (k, d) cell, from one relator matrix:
-    with support=m the part on colors exactly 1..m, else the whole cell.
-    relator_matrix raises ValueError should a relator leave the block."""
-    basis = space_basis(space, k, d, support)
-    keys = _basis_keys(space, basis)
-    groups = _relators_for(space, k, d, basis)
-    matrix = relator_matrix(keys, [r for rs in groups.values() for r in rs])
+    """The report of one block of the (k, d) cell, as block_matrix takes it."""
+    matrix, keys, groups = block_matrix(space, k, d, support)
     report = SpaceReport(
         space=space,
         k=None if space == "chord" else k,
@@ -179,14 +181,6 @@ def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
 # -- main triviality verification ---------------------------------------------
 
 
-def relation_matrix_bhl(k: int, d: int):
-    """The (star + ihx) relator matrix over the degree-d forest basis, and
-    the basis."""
-    basis = space_basis("bhl", k, d)
-    relators = [r for rs in _relators_for("bhl", k, d, basis).values() for r in rs]
-    return relator_matrix(_basis_keys("bhl", basis), relators), basis
-
-
 def is_compound(D: Diagram) -> bool:
     """True when some component has degree >= 2, i.e. is not a segment."""
     return D.n > 0 and max(len(c) for c in D.components()) >= 4
@@ -199,7 +193,8 @@ def verify_main_theorem(k: int, max_degree: int, budget=None) -> list:
     check_budget("bhl", k, max_degree, budget)
     certs = []
     for d in range(1, max_degree + 1):
-        matrix, basis = relation_matrix_bhl(k, d)
+        # the relators are dropped: the matrix holds what membership needs
+        matrix, basis = block_matrix("bhl", k, d)[:2]
         for key in basis:
             D = representative(key)
             if not is_compound(D):
@@ -297,25 +292,16 @@ def reduce_to_monomials(L: LinComb, k: int) -> dict:
     theorem's content); segment-only forests map to the monomial recording
     their segment multiplicities.  Monomials are tuples (((i, j), e), ...).
     """
-    out = {}
+    terms = []
     for key, coeff in L.items():
         D = canonical_diagram(key)
         if is_boring(D):
             raise DiagramError("boring content is outside the homotopy quotient")
-        if is_compound(D):
-            continue
-        exps = {}
-        for i, j in itertools.combinations(range(1, k + 1), 2):
-            m = rel.count_segments(D, i, j)
-            if m:
-                exps[(i, j)] = m
-        mono = tuple(sorted(exps.items()))
-        s = out.get(mono, Fraction(0)) + coeff
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-    return out
+        if not is_compound(D):
+            mono = tuple(((i, j), m) for i, j in itertools.combinations(range(1, k + 1), 2)
+                         if (m := rel.count_segments(D, i, j)))
+            terms.append((mono, coeff))
+    return dict(LinComb(terms).items())
 
 
 def monomial_str(mono) -> str:
@@ -337,15 +323,9 @@ def chi(D: Diagram, k: int) -> LinComb:
         raise DiagramError("color bound mismatch")
     if is_boring(D):
         return LinComb.zero()
-    by_color = {s: [] for s in range(1, k + 1)}
-    for v, c in D.legs():
-        by_color[c].append(v)
-    total = 1
-    for s in range(1, k + 1):
-        total *= factorial(len(by_color[s]))
-    out = LinComb.zero()
-    pools = [itertools.permutations(by_color[s]) for s in range(1, k + 1)]
-    for order in itertools.product(*pools):
-        B = bnd.BoundedDiagram(k, D, tuple(order))
-        out = out + bnd.inject_bounded(B, Fraction(1, total))
-    return out
+    weight = Fraction(1, prod(factorial(D.colors.count(c)) for c in range(1, k + 1)))
+    terms = []
+    for order in bnd.leg_orders(D):
+        sk = bnd.bounded_key(bnd.BoundedDiagram._assemble(k, D, order))
+        terms.append((sk.key, weight * sk.sign))
+    return LinComb(terms)

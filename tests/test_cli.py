@@ -16,6 +16,10 @@ Core claims:
     - check-cert proves bhl certificates only and needs the space field
     - a target key or diagram document that encodes no valid diagram is a
       one-line error, exit 4 for check-cert and 5 for reduce and chi
+    - JSON nested past the decoder's depth and diagrams too large to key
+      exit 5 with one line, not a traceback
+    - chi checks the ahl budget at the input's degree; reduce and chi take
+      -k >= 1 and lk takes --fuzz >= 0, or exit 2 before reading the input
     - hopf-check checks its budget before any work: the chord side at
       --chord-degree + 1, the forest side at --forest-k, --forest-degree
 """
@@ -35,6 +39,9 @@ from hypothesis import given, settings, strategies as st
 import linkhom
 from linkhom import cli
 from linkhom.bases import enum_forests
+from linkhom.interchange import serialize
+from linkhom.lincomb import terms_doc
+from test_diagrams import caterpillar
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -137,6 +144,10 @@ def test_usage_error_is_2():
         ["enumerate", "--space", "chord", "-d", "-1"],
         ["verify", "-k", "0", "--max-degree", "2"],
         ["verify", "-k", "3", "--max-degree", "-1"],
+        # checked before the input, which does not exist
+        ["reduce", "--input", "missing.json", "-k", "0"],
+        ["chi", "--input", "missing.json", "-k", "-2"],
+        ["lk", "--input", "missing.gauss", "--fuzz", "-5", "--json"],
     ):
         err = _proc(*argv, expect=2).stderr
         assert err.startswith("usage: ") and err.count("\n") == 1, (argv, err)
@@ -220,6 +231,47 @@ def test_unreadable_input_is_5(tmp_path, argv, kind):
     err = _proc(*argv, str(path), expect=5).stderr
     assert err.startswith(f"parse error: cannot read {path}: "), err
     assert "Traceback" not in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-cert", "--cert"],
+    ["reduce", "-k", "3", "--input"],
+    ["chi", "-k", "3", "--input"],
+], ids=["check-cert", "reduce", "chi"])
+def test_deeply_nested_json_is_5(tmp_path, argv):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000)
+    err = _proc(*argv, str(path), expect=5).stderr
+    assert err.startswith("parse error: not valid JSON: "), err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("legs", [200, 1500])
+@pytest.mark.parametrize("command, expect", [("reduce", 5), ("chi", 3)])
+def test_diagram_too_large_to_key(tmp_path, legs, command, expect):
+    # reduce fails before keying; chi's budget check comes first
+    path = tmp_path / "caterpillar.json"
+    path.write_text(json.dumps(serialize(caterpillar(range(1, legs + 1), legs))))
+    err = _proc(command, "--input", str(path), "-k", str(legs), expect=expect).stderr
+    want = "parse error: diagram too large to encode" if expect == 5 else "budget: "
+    assert err.startswith(want) and err.count("\n") == 1, err
+
+
+def test_chi_checks_the_ahl_budget(tmp_path):
+    # two tripods and a segment: degree 5 at k = 3, past the default budget
+    legs = [1, 2, 3, 1, 2, 3, 1, 2]
+    doc = {"k": 3,
+           "vertices": [{"id": v, "kind": "uni", "color": c} for v, c in enumerate(legs)]
+           + [{"id": 8, "kind": "tri"}, {"id": 9, "kind": "tri"}],
+           "edges": [{"id": e, "ends": [8 + e // 3, e]} for e in range(6)]
+           + [{"id": 6, "ends": [6, 7]}]}
+    path = tmp_path / "degree5.json"
+    path.write_text(json.dumps(doc))
+    err = _proc("chi", "--input", str(path), "-k", "3", expect=3).stderr
+    assert err.startswith("budget: ") and err.count("\n") == 1, err
+    out = json.loads(_run("chi", "--input", str(path), "-k", "3", "--budget-d", "5", "--json"))
+    # the budget binds the command only; the library's chi has none
+    assert out and out == terms_doc(linkhom.chi(linkhom.parse(doc), 3))
 
 
 def test_gauss_parse_error_is_5(tmp_path):

@@ -29,14 +29,11 @@ from linkhom.diagrams import (
     build,
     canonical_diagram,
     canonicalize,
-    caterpillar,
     disjoint_union,
     empty,
-    first_betti,
     graft_with_map,
     inject,
     is_boring,
-    mate,
     representative,
     segment,
     tripod,
@@ -46,6 +43,38 @@ from linkhom.spaces import dim_space
 
 
 # -- Helpers -----------------------------------------------------------------
+
+def mate(h: int) -> int:
+    """The other half of h's edge."""
+    return h ^ 1
+
+
+def first_betti(D: Diagram, component) -> int:
+    """Rank of the first homology of one component, E - V + 1."""
+    comp = tuple(sorted(component))
+    if comp not in D.components():
+        raise DiagramError("not a component of this diagram")
+    cset = set(comp)
+    e = sum(1 for i in range(D.n_edges) if D.edge_ends(i)[0] in cset)
+    return e - len(comp) + 1
+
+
+def caterpillar(colors, k) -> Diagram:
+    """A spine of internal vertices with the given leaf colors hung in order."""
+    m = len(colors)
+    if m < 2:
+        raise DiagramError("a tree needs at least two leaves")
+    if m == 2:
+        return segment(colors[0], colors[1], k)
+    verts = list(colors) + [None] * (m - 2)
+    spine = list(range(m, 2 * m - 2))
+    edges = [(spine[0], 0), (spine[0], 1)]
+    for i, t in enumerate(spine[1:], start=1):
+        edges.append((spine[i - 1], t))
+        edges.append((t, i + 1))
+    edges.append((spine[-1], m - 1))
+    return build(k, verts, edges)
+
 
 def _tadpole(k=2):
     """One leg, one trivalent vertex, one self-loop."""
@@ -498,14 +527,25 @@ def test_bounded_forest_labeling_matches_search(seed):
     rng.shuffle(perm)
     C = bnd.BoundedDiagram(k, _relabel(base, rng, flip=True, perm=perm)[0],
                            tuple(tuple(perm[v] for v in seg) for seg in order))
-    fast_b, fast_c = bnd.canonicalize_bounded(B), bnd.canonicalize_bounded(C)
+    fast_b, fast_c = bnd.bounded_key(B), bnd.bounded_key(C)
     slow_b, slow_c = _search_bounded(B), _search_bounded(C)
     assert (fast_b.key == fast_c.key) == (slow_b.key == slow_c.key)
     assert fast_b.sign * fast_c.sign != 0
     if fast_b.key == fast_c.key:
         assert fast_b.sign * fast_c.sign == slow_b.sign * slow_c.sign
-    again = bnd.canonicalize_bounded(bnd.bounded_from_key(fast_b.key))
+    again = bnd.bounded_key(bnd.bounded_from_key(fast_b.key))
     assert again == SignedCanonicalKey(fast_b.key, 1)
+
+
+@pytest.mark.parametrize("legs", [200, 1500])
+def test_oversized_forest_is_rejected_before_its_walk(legs):
+    # 2 * legs - 2 vertices pass the one-byte vertex count; the walk, whose
+    # recursion depth grows with the tree, never starts
+    D = caterpillar(range(1, legs + 1), legs)
+    with pytest.raises(DiagramError, match="too large to encode"):
+        canonicalize(D)
+    with pytest.raises(DiagramError, match="too large to encode"):
+        bnd.bounded_key(bnd.BoundedDiagram(legs, D, tuple((v,) for v in range(legs))))
 
 
 def test_parallel_struts_are_labeled_without_search():

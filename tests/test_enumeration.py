@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkhom.bases import enum_forests, trees_on_colors
-from linkhom.bounded import bounded_from_key, canonicalize_bounded, enum_bounded
+from linkhom.bounded import bounded_from_key, bounded_key, enum_bounded
 from linkhom.chords import ChordDiagram, chord_key, enum_chord, rotate
 from linkhom.diagrams import SignedCanonicalKey, canonical_diagram, canonicalize, is_boring
 
@@ -234,7 +234,7 @@ def test_bounded_keys_round_trip_with_sign_plus_one(k, d):
         assert B.k == k
         assert B.graph.degree() == d
         assert not is_boring(B.graph)
-        assert canonicalize_bounded(B) == SignedCanonicalKey(key, 1)
+        assert bounded_key(B) == SignedCanonicalKey(key, 1)
 
 
 def test_bounded_enumeration_deterministic():

@@ -18,12 +18,11 @@ from hypothesis import given, settings, strategies as st
 from linkhom.errors import ParseError
 from linkhom.gauss import (
     GaussLink,
-    gauss_text,
+    _link,
     linking_matrix,
     parse_gauss,
     parse_pd,
     random_homotopy_move,
-    reverse_component,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -31,6 +30,31 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def _load(name):
     return parse_gauss((FIXTURES / name).read_text())
+
+
+def gauss_text(L: GaussLink) -> str:
+    """The text format of L, which parse_gauss reads back."""
+    signs = dict(L.signs)
+    lines = []
+    for comp in L.components:
+        if not comp:
+            lines.append("()")
+            continue
+        lines.append(" ".join(f"{'+' if signs[cid] > 0 else '-'}{cid}^{role}"
+                              for cid, role in comp))
+    return "\n".join(lines) + "\n"
+
+
+def reverse_component(L: GaussLink, i: int) -> GaussLink:
+    """Reverse the orientation of component i; mixed crossing signs flip."""
+    signs = dict(L.signs)
+    comps = [list(c) for c in L.components]
+    comps[i] = comps[i][::-1]
+    for cid in signs:
+        a, b = L.component_of(cid)
+        if (a == i) != (b == i):
+            signs[cid] = -signs[cid]
+    return _link(comps, signs)
 
 
 # -- Fixtures ------------------------------------------------------------------

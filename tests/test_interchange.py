@@ -17,17 +17,19 @@ from linkhom.bounded import bounded_from_key, enum_bounded
 from linkhom.chords import chord_key, enum_chord
 from linkhom.diagrams import canonical_diagram, canonicalize, tripod
 from linkhom.errors import ParseError
-from linkhom.interchange import (
-    bounded_doc,
-    chord_doc,
-    parse,
-    parse_bounded,
-    parse_chord,
-    relator_doc,
-    serialize,
-    serialize_text,
-)
+from linkhom.interchange import bounded_doc, chord_doc, parse, parse_bounded, parse_chord, serialize
+from linkhom.lincomb import terms_doc
 from linkhom.relators import star_relators
+
+
+def serialize_text(D) -> str:
+    """A diagram document as compact JSON text with sorted keys."""
+    return json.dumps(serialize(D), sort_keys=True, separators=(",", ":"))
+
+
+def relator_doc(relator) -> dict:
+    """A relator as a JSON-compatible document: its id and its terms."""
+    return {"id": relator.rid, "element": terms_doc(relator.element)}
 
 
 # -- Round trips -----------------------------------------------------------------
