@@ -50,7 +50,7 @@ def chord_key(c: ChordDiagram) -> bytes:
     return pairing_key(c.pairing)
 
 
-def pairing_key(p: tuple) -> bytes:
+def pairing_key(p) -> bytes:
     """chord_key of a pairing that is known to be valid, without building a
     ChordDiagram.
 
@@ -81,31 +81,34 @@ def inject_chord(c: ChordDiagram, coeff=1) -> LinComb:
 
 
 def enum_chord(d: int) -> list:
-    """Canonical representatives of all degree-d chord diagrams, sorted by key."""
+    """Sorted canonical keys of all degree-d chord diagrams.
+
+    The recursion fills one pairing in place and meets only perfect
+    matchings, so each is keyed at once, without building a diagram."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    found = {}
+    found = set()
+    pairing = [0] * (2 * d)
 
-    def matchings(points, pairs):
+    def matchings(points):
         if not points:
-            pairing = [0] * (2 * d)
-            for a, b in pairs:
-                pairing[a], pairing[b] = b, a
-            c = ChordDiagram(tuple(pairing))
-            found.setdefault(chord_key(c), c)
+            found.add(pairing_key(pairing))
             return
         a = points[0]
         for idx in range(1, len(points)):
             b = points[idx]
-            matchings(points[1:idx] + points[idx + 1:], pairs + [(a, b)])
+            pairing[a], pairing[b] = b, a
+            matchings(points[1:idx] + points[idx + 1:])
 
-    matchings(tuple(range(2 * d)), [])
-    return [chord_from_key(key) for key in sorted(found)]
+    matchings(tuple(range(2 * d)))
+    return sorted(found)
 
 
-def has_isolated_chord(c: ChordDiagram) -> bool:
-    n = len(c.pairing)
-    return any(c.pairing[i] == (i + 1) % n for i in range(n))
+def has_isolated_chord(pairing) -> bool:
+    """Whether a chord joins two neighboring points; pairing may be a key's
+    key[2:]."""
+    n = len(pairing)
+    return any(pairing[i] == (i + 1) % n for i in range(n))
 
 
 # -- surgeries ------------------------------------------------------------

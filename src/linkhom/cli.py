@@ -72,18 +72,15 @@ def _writing(path):
 def _cmd_enumerate(args) -> int:
     space = args.space
     spaces.check_budget(space, args.k, args.d, _budget(args))
-    lines = []
     if space == "chord":
-        for c in ch.enum_chord(args.d):
-            lines.append(_dump({"key": ch.chord_key(c).hex(), "diagram": interchange.chord_doc(c)}))
+        keys, doc = ch.enum_chord(args.d), lambda key: interchange.chord_doc(ch.chord_from_key(key))
     elif space == "forest":
-        for key in enum_forests(args.k, args.d):
-            doc = interchange.serialize(canonical_diagram(key))
-            lines.append(_dump({"key": key.hex(), "diagram": doc}))
+        keys, doc = (enum_forests(args.k, args.d),
+                     lambda key: interchange.serialize(canonical_diagram(key)))
     else:
-        for key in bnd.enum_bounded(args.k, args.d):
-            doc = interchange.bounded_doc(bnd.bounded_from_key(key))
-            lines.append(_dump({"key": key.hex(), "diagram": doc}))
+        keys, doc = (bnd.enum_bounded(args.k, args.d),
+                     lambda key: interchange.bounded_doc(bnd.bounded_from_key(key)))
+    lines = [_dump({"key": key.hex(), "diagram": doc(key)}) for key in keys]
     print("\n".join(lines) if lines else "", end="\n" if lines else "")
     return EXIT_OK
 
@@ -109,8 +106,8 @@ def _cmd_verify(args) -> int:
     if outdir:
         for cert in certs:
             key = cert.target.keys()[0]
-            d = canonical_diagram(key).degree()
-            doc = {"space": "bhl", "k": args.k, "d": d, **certificate_doc(cert)}
+            # a forest key's third byte is its vertex count, twice the degree
+            doc = {"space": "bhl", "k": args.k, "d": key[2] // 2, **certificate_doc(cert)}
             path = outdir / f"cert-{key.hex()}.json"
             with _writing(path):
                 path.write_text(_dump(doc) + "\n")
@@ -225,6 +222,27 @@ def _cmd_lk(args) -> int:
     return EXIT_OK
 
 
+def _compatible_pairs(bases: dict, top: int, kind: str) -> int:
+    """Check that the coproduct respects products on every pair of basis
+    keys whose degrees sum to at most top; bases maps a degree to its keys.
+    Returns the number of pairs checked."""
+    pairs = 0
+    for d1, left in bases.items():
+        for d2, right in bases.items():
+            if d1 + d2 > top:
+                continue
+            for a in left:
+                for b in right:
+                    x, y = LinComb.term(a), LinComb.term(b)
+                    lhs = hopf.coproduct(hopf.product(x, y))
+                    rhs = hopf.tensor_product(hopf.coproduct(x), hopf.coproduct(y))
+                    if lhs != rhs:
+                        raise VerificationError(
+                            f"{kind} compatibility fails at {a.hex()} x {b.hex()}")
+                    pairs += 1
+    return pairs
+
+
 def _cmd_hopf_check(args) -> int:
     if args.chord_degree < 0:
         raise UsageError(f"--chord-degree {args.chord_degree} is negative")
@@ -232,59 +250,30 @@ def _cmd_hopf_check(args) -> int:
     # the connect sum check builds 4T spans one degree past --chord-degree
     spaces.check_budget("chord", None, args.chord_degree + 1, budget)
     spaces.check_budget("bhl", args.forest_k, args.forest_degree, budget)
-    checks = {}
-    # chord compatibility, exhaustive at the configured degree
-    pairs = 0
-    for d1 in range(args.chord_degree + 1):
-        for d2 in range(args.chord_degree + 1 - d1):
-            for c1 in ch.enum_chord(d1):
-                for c2 in ch.enum_chord(d2):
-                    x, y = ch.inject_chord(c1), ch.inject_chord(c2)
-                    lhs = hopf.coproduct(hopf.product(x, y))
-                    rhs = hopf.tensor_product(hopf.coproduct(x), hopf.coproduct(y))
-                    if lhs != rhs:
-                        raise VerificationError(
-                            f"chord compatibility fails at {ch.chord_key(c1).hex()} x {ch.chord_key(c2).hex()}")
-                    pairs += 1
-    checks["chord_pairs"] = pairs
-
-    # forest compatibility
-    pairs = 0
-    k = args.forest_k
-    for d1 in range(1, args.forest_degree):
-        for d2 in range(1, args.forest_degree + 1 - d1):
-            for a in enum_forests(k, d1):
-                for b in enum_forests(k, d2):
-                    x, y = LinComb.term(a), LinComb.term(b)
-                    lhs = hopf.coproduct(hopf.product(x, y))
-                    rhs = hopf.tensor_product(hopf.coproduct(x), hopf.coproduct(y))
-                    if lhs != rhs:
-                        raise VerificationError(
-                            f"forest compatibility fails at {a.hex()} x {b.hex()}")
-                    pairs += 1
-    checks["forest_pairs"] = pairs
+    top = args.chord_degree
+    chords = {d: ch.enum_chord(d) for d in range(top + 2)}
+    forests = {d: enum_forests(args.forest_k, d) for d in range(1, args.forest_degree)}
+    checks = {"chord_pairs": _compatible_pairs(chords, top, "chord"),
+              "forest_pairs": _compatible_pairs(forests, args.forest_degree, "forest")}
 
     # connect sum arc independence modulo 4T, one matrix per total degree
     checked = 0
-    spans = {}
-    for total in range(2, args.chord_degree + 2):
-        basis = ch.enum_chord(total)
-        spans[total] = relator_matrix([ch.chord_key(c) for c in basis],
-                                      rel.four_t_relators(basis))
-    for d1 in range(1, args.chord_degree + 1):
-        for d2 in range(1, args.chord_degree + 2 - d1):
+    spans = {total: relator_matrix(chords[total], rel.four_t_relators(chords[total]))
+             for total in range(2, top + 2)}
+    for d1 in range(1, top + 1):
+        for d2 in range(1, top + 2 - d1):
             mat = spans[d1 + d2]
-            for c1 in ch.enum_chord(d1):
-                for c2 in ch.enum_chord(d2):
+            for a in chords[d1]:
+                for b in chords[d2]:
+                    c1, c2 = ch.chord_from_key(a), ch.chord_from_key(b)
                     base = ch.inject_chord(ch.connect_sum(c1, c2, 0, 0))
                     for a1 in range(2 * d1):
                         for a2 in range(2 * d2):
-                            other = ch.inject_chord(ch.connect_sum(c1, c2, a1, a2))
-                            diff = base - other
+                            diff = base - ch.inject_chord(ch.connect_sum(c1, c2, a1, a2))
                             if diff and not mat.in_span(diff):
                                 raise VerificationError(
                                     "connect sum depends on the cut points beyond 4T "
-                                    f"at {ch.chord_key(c1).hex()} x {ch.chord_key(c2).hex()}")
+                                    f"at {a.hex()} x {b.hex()}")
                     checked += 1
     checks["connect_sum_pairs"] = checked
     print(_dump({"ok": True, **checks}) if args.json else

@@ -146,7 +146,7 @@ class Diagram:
     @cached_property
     def _defect(self):
         # inject tests boringness and then canonicalizes: one scan serves both
-        return _forest_defect(self, self.colors)
+        return _forest_defect(self)
 
     def degree(self) -> int:
         return self.n // 2
@@ -248,10 +248,10 @@ def graft_with_map(E: Diagram, u: int, w: int):
 # -- predicates -----------------------------------------------------------
 
 
-def _forest_defect(D: Diagram, colors):
-    """Why D, with these leg colors, is not a forest of trees with distinct
-    leg colors, or None when it is one."""
-    comps = D.components()
+def _forest_defect(D: Diagram):
+    """Why D is not a forest of trees with distinct leg colors, or None when
+    it is one."""
+    comps, colors = D.components(), D.colors
     if D.n_edges != D.n - len(comps):       # a forest has E = V - #components
         return "a cycle"
     for comp in comps:
@@ -309,8 +309,9 @@ def join_trees(k, trees) -> bytes:
 def forest_key(D: Diagram, colors=None, k=None) -> SignedCanonicalKey:
     """Canonical key of a diagram known to be a forest whose trees have
     distinct leg colors, unchecked (canonicalize checks); joined from its
-    trees' keys, with the product of their signs.  colors and k as for
-    canonicalize."""
+    trees' keys, with the product of their signs.  colors and k, when given,
+    stand in for the leg colors and their bound: bounded keys pass each
+    leg's slot color this way."""
     if D.n > KEY_BYTE_MAX:      # also bounds the walk's recursion depth
         raise DiagramError("diagram too large to encode")
     if colors is None:
@@ -354,20 +355,12 @@ def forest_key(D: Diagram, colors=None, k=None) -> SignedCanonicalKey:
     return SignedCanonicalKey(join_trees(k, trees), sign)
 
 
-def canonicalize(D: Diagram, colors=None, k=None) -> SignedCanonicalKey:
+def canonicalize(D: Diagram) -> SignedCanonicalKey:
     """Canonical byte key and orientation sign (+1 or -1) of a forest whose
-    trees have distinct leg colors; any other diagram raises DiagramError.
-
-    colors and k, when given, stand in for the leg colors and their bound;
-    bounded keys pass each leg's slot color this way.
-    """
-    if colors is None:
-        colors, k, defect = D.colors, D.k, D._defect
-    else:
-        defect = _forest_defect(D, colors)
-    if defect:
-        raise DiagramError(f"no canonical key: the diagram has {defect}")
-    return forest_key(D, colors, k)
+    trees have distinct leg colors; any other diagram raises DiagramError."""
+    if D._defect:
+        raise DiagramError(f"no canonical key: the diagram has {D._defect}")
+    return forest_key(D)
 
 
 def canonical_diagram(key: bytes) -> Diagram:

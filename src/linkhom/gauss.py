@@ -29,10 +29,11 @@ class GaussLink:
     signs: tuple         # ((crossing id, +1 | -1), ...) sorted
 
     def __post_init__(self):
-        seen = {}
+        seen, visits = {}, {}
         for ci, comp in enumerate(self.components):
-            for cid, role in comp:
+            for i, (cid, role) in enumerate(comp):
                 seen.setdefault(cid, []).append(role)
+                visits[(cid, role)] = (ci, i)
         sign_ids = {cid for cid, _ in self.signs}
         for cid, roles in seen.items():
             if len(roles) != 2 or sorted(roles) != ["o", "u"]:
@@ -44,15 +45,16 @@ class GaussLink:
                 raise ParseError(f"crossing {cid} has sign {s}")
             if cid not in seen:
                 raise ParseError(f"sign given for unknown crossing {cid}")
+        # (crossing id, "o" | "u") -> (component, position) of each visit
+        object.__setattr__(self, "_visits", visits)
 
     @property
     def k(self) -> int:
         return len(self.components)
 
     def component_of(self, cid: int):
-        out = [ci for ci, comp in enumerate(self.components)
-               for c, _ in comp if c == cid]
-        return tuple(out)
+        """The components of the crossing's two visits, in ascending order."""
+        return tuple(sorted((self._visits[(cid, "o")][0], self._visits[(cid, "u")][0])))
 
     def is_self_crossing(self, cid: int) -> bool:
         where = self.component_of(cid)
@@ -261,11 +263,7 @@ def _r2_add(L, rng):
 def _r2_sites(L):
     """Adjacent same-role pairs whose partners are adjacent with opposite
     order and role, carrying opposite signs."""
-    signs = dict(L.signs)
-    index = {}
-    for ci, comp in enumerate(L.components):
-        for i, (cid, role) in enumerate(comp):
-            index[(cid, role)] = (ci, i)
+    signs, index = dict(L.signs), L._visits
     sites = []
     for ci, comp in enumerate(L.components):
         n = len(comp)
@@ -302,10 +300,7 @@ def _r2_remove(L, rng, sites):
 def _r3_sites(L):
     """Triangle slides: an adjacent over-over pair whose under visits are each
     adjacent to one visit of a common third crossing."""
-    index = {}
-    for ci, comp in enumerate(L.components):
-        for i, (cid, role) in enumerate(comp):
-            index[(cid, role)] = (ci, i)
+    index = L._visits
     sites = []
     for ci, comp in enumerate(L.components):
         n = len(comp)

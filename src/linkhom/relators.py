@@ -204,24 +204,21 @@ def link1_relators(basis) -> list:
 
 
 def one_t_relators(basis) -> list:
-    """Diagrams with an isolated chord are themselves relators."""
-    out = []
-    for c in basis:
-        if ch.has_isolated_chord(c):
-            key = ch.chord_key(c)
-            out.append(Relator(f"1t:{key.hex()}", LinComb.term(key)))
-    return out
+    """Diagrams with an isolated chord are themselves relators; basis is a
+    list of chord keys."""
+    return [Relator(f"1t:{key.hex()}", LinComb.term(key))
+            for key in basis if ch.has_isolated_chord(key[2:])]
 
 
-def four_t_relator(c: ch.ChordDiagram, p: int, name: str) -> Relator:
-    """Four-term relation at the adjacent endpoint pair (p, p+1); name is c's
-    chord key in hex.
+def four_t_relator(key: bytes, p: int) -> Relator:
+    """Four-term relation at the adjacent endpoint pair (p, p+1) of the chord
+    diagram with this canonical key.
 
     The endpoint at p hops across the near end q = p+1 of the other chord and
     across its far end r, and the four placements cancel:
     (before q) - (after q) + (before r) - (after r) = 0.
     """
-    pairing = c.pairing
+    pairing = key[2:]
     n = len(pairing)
     q = (p + 1) % n
     if pairing[p] == q:
@@ -236,17 +233,17 @@ def four_t_relator(c: ch.ChordDiagram, p: int, name: str) -> Relator:
             for j, x in enumerate(order):
                 at[x] = j
             terms.append((ch.pairing_key(tuple(at[pairing[x]] for x in order)), sign))
-    return Relator(f"4t:{name}:{p}", LinComb(terms))
+    return Relator(f"4t:{key.hex()}:{p}", LinComb(terms))
 
 
 def four_t_relators(basis) -> list:
+    """Four-term relators at every endpoint not on an isolated chord; basis
+    is a list of chord keys."""
     out = []
-    for c in basis:
-        n = 2 * c.d
-        name = ch.chord_key(c).hex()
-        for p in range(n):
-            if c.pairing[p] != (p + 1) % n:
-                out.append(four_t_relator(c, p, name))
+    for key in basis:
+        pairing = key[2:]
+        n = len(pairing)
+        out.extend(four_t_relator(key, p) for p in range(n) if pairing[p] != (p + 1) % n)
     return out
 
 

@@ -105,7 +105,7 @@ class SpaceReport:
         }
 
 
-def _relators_for(space: str, k, d: int, basis):
+def _relators_for(space: str, basis):
     if space == "bhsl":
         return {"ihx": rel.ihx_relators(basis)}
     if space == "bhl":
@@ -119,8 +119,9 @@ def _relators_for(space: str, k, d: int, basis):
     raise ValueError(f"unknown space {space!r}")
 
 
-def space_basis(space: str, k, d: int, support=None):
-    """The basis of a cell, or with support=m of its block on colors 1..m."""
+def space_basis(space: str, k, d: int, support=None) -> list:
+    """The sorted basis keys of a cell, or with support=m of its block on
+    colors 1..m."""
     if space in ("bhsl", "bhl"):
         return enum_forests(k, d, support)
     if space in ("ahsl", "ahl"):
@@ -137,9 +138,8 @@ def block_matrix(space: str, k, d: int, support=None):
     (k, d) cell: with support=m the part on colors exactly 1..m, else the
     whole cell.  relator_matrix raises ValueError should a relator leave the
     block."""
-    basis = space_basis(space, k, d, support)
-    keys = [ch.chord_key(c) for c in basis] if space == "chord" else basis
-    groups = _relators_for(space, k, d, basis)
+    keys = space_basis(space, k, d, support)
+    groups = _relators_for(space, keys)
     return relator_matrix(keys, [r for rs in groups.values() for r in rs]), keys, groups
 
 
@@ -181,9 +181,11 @@ def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
 # -- main triviality verification ---------------------------------------------
 
 
-def is_compound(D: Diagram) -> bool:
-    """True when some component has degree >= 2, i.e. is not a segment."""
-    return D.n > 0 and max(len(c) for c in D.components()) >= 4
+def is_compound(key: bytes) -> bool:
+    """True when some tree of the forest with this key has degree >= 2, i.e.
+    is not a segment: a tree has an internal vertex exactly then, and the
+    key gives internal vertices the color 0."""
+    return 0 in key[4:4 + key[2]]
 
 
 def verify_main_theorem(k: int, max_degree: int, budget=None) -> list:
@@ -196,14 +198,13 @@ def verify_main_theorem(k: int, max_degree: int, budget=None) -> list:
         # the relators are dropped: the matrix holds what membership needs
         matrix, basis = block_matrix("bhl", k, d)[:2]
         for key in basis:
-            D = representative(key)
-            if not is_compound(D):
+            if not is_compound(key):
                 continue
             cert = matrix.membership(LinComb.term(key))
             if not cert.is_member:
                 raise VerificationError(
                     f"forest {key.hex()} of degree {d} escapes the relation span",
-                    witness=D,
+                    witness=representative(key),
                 )
             certs.append(cert)
     return certs
@@ -269,11 +270,10 @@ def check_main_certificate(cert: MembershipCertificate, k: int, d: int) -> None:
     VerificationError otherwise.
     """
     terms = cert.target.items()
-    D = _basis_forest(terms[0][0], k, d) if len(terms) == 1 and terms[0][1] == 1 else None
-    if D is None:
+    if len(terms) != 1 or terms[0][1] != 1 or _basis_forest(terms[0][0], k, d) is None:
         raise VerificationError(
             f"target is not one basis forest of bhl(k={k}, d={d}) with coefficient 1")
-    if not is_compound(D):
+    if not is_compound(terms[0][0]):
         raise VerificationError(f"target forest {terms[0][0].hex()} has only segment components")
     by_id = {rid: relator_by_id(rid, k, d) for rid in sorted({rid for rid, _ in cert.combination})}
     if not verify_certificate(cert, by_id):
@@ -297,7 +297,7 @@ def reduce_to_monomials(L: LinComb, k: int) -> dict:
         D = canonical_diagram(key)
         if is_boring(D):
             raise DiagramError("boring content is outside the homotopy quotient")
-        if not is_compound(D):
+        if not is_compound(key):
             mono = tuple(((i, j), m) for i, j in itertools.combinations(range(1, k + 1), 2)
                          if (m := rel.count_segments(D, i, j)))
             terms.append((mono, coeff))

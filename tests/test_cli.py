@@ -20,6 +20,7 @@ Core claims:
       exit 5 with one line, not a traceback
     - chi checks the ahl budget at the input's degree; reduce and chi take
       -k >= 1 and lk takes --fuzz >= 0, or exit 2 before reading the input
+    - hopf-check counts the pairs it checks, pinned at two settings
     - hopf-check checks its budget before any work: the chord side at
       --chord-degree + 1, the forest side at --forest-k, --forest-degree
 """
@@ -352,6 +353,15 @@ def test_hopf_check_small():
     assert doc["ok"] is True
     assert doc["chord_pairs"] > 0
     assert doc["connect_sum_pairs"] > 0
+
+
+@pytest.mark.parametrize("argv, out", [
+    ([], '{"chord_pairs":8,"connect_sum_pairs":5,"forest_pairs":51,"ok":true}\n'),
+    (["--chord-degree", "3"],
+     '{"chord_pairs":22,"connect_sum_pairs":19,"forest_pairs":51,"ok":true}\n'),
+], ids=["defaults", "chord-3"])
+def test_hopf_check_counts(argv, out):
+    assert _run("--json", "hopf-check", *argv) == out
 
 
 @pytest.mark.parametrize("argv, expect", [

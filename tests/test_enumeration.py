@@ -3,7 +3,8 @@
 Core claims:
     - forest counts match a generating-function oracle built from the
       double-factorial count of leaf-labeled trivalent trees
-    - chord class counts match brute-force matchings modulo rotation
+    - the chord basis is the sorted list of least-rotation keys of
+      brute-force matchings, and each key rebuilds to a diagram keyed by it
     - the pruned chord key equals the least pairing over all rotations and
       is invariant under rotation
     - every enumerated basis key rebuilds to a non-boring diagram whose key
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from linkhom.bases import enum_forests, trees_on_colors
 from linkhom.bounded import bounded_from_key, bounded_key, enum_bounded
-from linkhom.chords import ChordDiagram, chord_key, enum_chord, rotate
+from linkhom.chords import ChordDiagram, chord_from_key, chord_key, enum_chord, rotate
 from linkhom.diagrams import SignedCanonicalKey, canonical_diagram, canonicalize, is_boring
 
 
@@ -68,8 +69,9 @@ def _matchings(points):
             yield ((a, points[i]),) + m
 
 
-def _chord_count_oracle(d):
-    """Perfect matchings on 2d circle points modulo rotation, by brute force."""
+def _chord_keys_oracle(d):
+    """Keys of the perfect matchings on 2d circle points modulo rotation, by
+    brute force: the tag, d, then the least pairing over every rotation."""
     n = 2 * d
     seen = set()
     for m in _matchings(tuple(range(n))):
@@ -77,11 +79,11 @@ def _chord_count_oracle(d):
         for a, b in m:
             pairing[a], pairing[b] = b, a
         best = min(
-            tuple((pairing[(i + r) % n] - r) % n for i in range(n))
-            for r in range(n)
+            (tuple((pairing[(i + r) % n] - r) % n for i in range(n)) for r in range(n)),
+            default=(),
         )
-        seen.add(best)
-    return len(seen)
+        seen.add(bytes([0x43, d, *best]))
+    return sorted(seen)
 
 
 # -- Forests -------------------------------------------------------------------
@@ -180,14 +182,23 @@ def test_chord_counts(d, count):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_chord_counts_match_matching_oracle(d):
-    assert len(enum_chord(d)) == _chord_count_oracle(d)
+    assert len(enum_chord(d)) == len(_chord_keys_oracle(d))
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_chord_basis_is_the_sorted_least_rotation_keys(d):
+    keys = enum_chord(d)
+    assert keys == _chord_keys_oracle(d)
+    for key in keys:
+        assert chord_key(chord_from_key(key)) == key
 
 
 def test_chord_keys_distinct_and_stable():
     for d in (2, 3, 4):
-        keys = [chord_key(c) for c in enum_chord(d)]
-        assert len(keys) == len(set(keys))
-        assert keys == [chord_key(c) for c in enum_chord(d)]
+        keys = enum_chord(d)
+        assert all(type(key) is bytes for key in keys)
+        assert keys == sorted(set(keys))
+        assert keys == enum_chord(d)
 
 
 @st.composite

@@ -6,6 +6,8 @@ Core claims:
     - malformed codes fail with positioned errors
     - reversing a component negates its row and column
     - every move type preserves the linking matrix (fuzzed)
+    - each crossing's components, read off the link's visit index, are
+      those a scan of every visit finds (fuzzed)
     - text serialization round-trips
 """
 
@@ -175,6 +177,19 @@ def test_fuzzed_walks_stay_valid(seed):
     # the constructor re-validates: two visits per crossing, one of each role
     assert parse_gauss(gauss_text(L)) == L
     assert linking_matrix(L) == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("name", ["unlink2.gauss", "hopf.gauss", "whitehead.gauss"])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_component_of_matches_a_scan(name, seed):
+    L = _load(name)
+    rng = random.Random(seed)
+    for _ in range(120):
+        L, _ = random_homotopy_move(L, rng)
+        for cid, _ in L.signs:
+            scan = tuple(ci for ci, comp in enumerate(L.components) for c, _ in comp if c == cid)
+            assert L.component_of(cid) == scan
+            assert L.is_self_crossing(cid) == (scan[0] == scan[1])
 
 
 def test_move_accepts_int_seed():

@@ -201,7 +201,7 @@ CELLS = ([("bhsl", k, d) for k, d in FOREST_CELLS] + [("bhl", k, d) for k, d in 
 def test_relators_match_the_validated_fraction_pipeline(space, k, d):
     for m in range(min(k, 2 * d) + 1):
         basis = spaces.space_basis(space, k, d, m)
-        for kind, relators in spaces._relators_for(space, k, d, basis).items():
+        for kind, relators in spaces._relators_for(space, basis).items():
             want = {}
             for key in basis:
                 want.update(ORACLE[kind](key))

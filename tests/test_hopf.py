@@ -88,7 +88,7 @@ def is_connected_key(key: bytes) -> bool:
 def _chord_classes(max_d):
     out = []
     for d in range(max_d + 1):
-        out.extend(LinComb.term(chord_key(c)) for c in enum_chord(d))
+        out.extend(LinComb.term(key) for key in enum_chord(d))
     return out
 
 
@@ -120,9 +120,9 @@ def test_forest_unit_is_identity():
 # -- Products ----------------------------------------------------------------------
 
 def test_chord_product_is_connect_sum():
-    c1, c2 = enum_chord(1)[0], enum_chord(2)[0]
-    x = product(LinComb.term(chord_key(c1)), LinComb.term(chord_key(c2)))
-    assert x == LinComb.term(chord_key(connect_sum(c1, c2)))
+    a, b = enum_chord(1)[0], enum_chord(2)[0]
+    x = product(LinComb.term(a), LinComb.term(b))
+    assert x == LinComb.term(chord_key(connect_sum(chord_from_key(a), chord_from_key(b))))
 
 
 def test_forest_product_is_disjoint_union():
@@ -139,7 +139,7 @@ def test_forest_product_commutative_small():
 
 
 def test_product_rejects_mixed_kinds():
-    c = LinComb.term(chord_key(enum_chord(1)[0]))
+    c = LinComb.term(enum_chord(1)[0])
     f = inject(segment(1, 2, 3))
     with pytest.raises(ValueError):
         product(c, f)
@@ -148,8 +148,7 @@ def test_product_rejects_mixed_kinds():
 # -- Coproducts ------------------------------------------------------------------------
 
 def test_chord_coproduct_counts_subsets():
-    c = enum_chord(2)[0]
-    x = coproduct_key(chord_key(c))
+    x = coproduct_key(enum_chord(2)[0])
     # 2 chords: 4 subsets
     assert sum(abs(v) for v in dict(x.items()).values()) == 4
 
@@ -206,15 +205,14 @@ def test_disconnected_forest_not_primitive():
 
 def test_one_chord_not_primitive_without_correction():
     # the single chord is isolated, and its coproduct has no correction here
-    c = enum_chord(1)[0]
-    assert is_primitive(LinComb.term(chord_key(c)))
+    assert is_primitive(LinComb.term(enum_chord(1)[0]))
 
 
 def test_crossed_chord_pair_needs_isolated_correction():
-    crossed = next(c for c in enum_chord(2) if is_connected_key(chord_key(c)))
-    adjacent = next(c for c in enum_chord(2) if not is_connected_key(chord_key(c)))
-    x = LinComb.term(chord_key(crossed))
-    a = LinComb.term(chord_key(adjacent))
+    crossed = next(key for key in enum_chord(2) if is_connected_key(key))
+    adjacent = next(key for key in enum_chord(2) if not is_connected_key(key))
+    x = LinComb.term(crossed)
+    a = LinComb.term(adjacent)
     assert not is_primitive(x)
     assert is_primitive(x - a)
 

@@ -14,7 +14,7 @@ import pytest
 
 from linkhom.bases import enum_forests
 from linkhom.bounded import bounded_from_key, enum_bounded
-from linkhom.chords import chord_key, enum_chord
+from linkhom.chords import chord_from_key, chord_key, enum_chord
 from linkhom.diagrams import canonical_diagram, canonicalize, tripod
 from linkhom.errors import ParseError
 from linkhom.interchange import bounded_doc, chord_doc, parse, parse_bounded, parse_chord, serialize
@@ -56,8 +56,8 @@ def test_serialize_text_stable():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_chord_round_trip(d):
-    for c in enum_chord(d):
-        assert chord_key(parse_chord(chord_doc(c))) == chord_key(c)
+    for key in enum_chord(d):
+        assert chord_key(parse_chord(chord_doc(chord_from_key(key)))) == key
 
 
 def test_bounded_round_trip():

@@ -5,7 +5,8 @@ Core claims:
       C(C(k,2)+d-1, d) cell by cell
     - string-link dims match the symmetric-algebra reference values
     - bounded-side dims agree with forest-side dims where both are in budget
-    - knot chord dims modulo 1T+4T are 0, 1, 1, 3
+    - knot chord dims modulo 1T+4T are 0, 1, 1, 3, and the chord pipeline
+      reads keys without building a chord diagram
     - chi kills boring diagrams and averages legs with uniform weights
     - chi carries IHX relators into the STU span and star relators into
       the STU+link1 span
@@ -26,7 +27,7 @@ from math import comb
 
 import pytest
 
-from linkhom.chords import chord_key
+from linkhom.chords import ChordDiagram
 from linkhom.diagrams import (
     canonical_diagram,
     canonicalize,
@@ -80,9 +81,8 @@ def relator_table(k: int, d: int) -> dict:
 def whole_cell_doc(space: str, k: int, d: int) -> dict:
     """dim --json of a cell by the whole-cell pipeline: every basis element,
     every relator, one matrix.  The oracle for the support-block sum."""
-    basis = space_basis(space, k, d)
-    keys = basis
-    groups = _relators_for(space, k, d, basis)
+    keys = space_basis(space, k, d)
+    groups = _relators_for(space, keys)
     rank = relator_matrix(keys, [r for rs in groups.values() for r in rs]).rank()
     return {"space": space, "k": k, "d": d, "basis": len(keys),
             "relators": {name: len(rs) for name, rs in sorted(groups.items())},
@@ -158,6 +158,13 @@ def test_support_block_dim_counts_multigraphs(space, m, d):
 @pytest.mark.parametrize("d,dim", [(1, 0), (2, 1), (3, 1)])
 def test_knot_chord_dims(d, dim):
     assert dim_space("chord", None, d).dim == dim
+
+
+def test_chord_dim_builds_no_chord_diagram(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a ChordDiagram was built")
+    monkeypatch.setattr(ChordDiagram, "__post_init__", refuse)
+    assert dim_space("chord", None, 5).dim == 4
 
 
 def test_space_report_doc_shape():
