@@ -41,7 +41,6 @@ from .relators import (
     ihx_relators,
     link1_relators,
     one_t_relators,
-    star_relator,
     star_relators,
     stu_relators,
 )
@@ -77,7 +76,7 @@ __all__ = [
     "certificate_from_doc", "relator_matrix", "verify_certificate",
     # relators
     "Relator", "four_t_relators", "ihx_relators", "link1_relators",
-    "one_t_relators", "star_relator", "star_relators", "stu_relators",
+    "one_t_relators", "star_relators", "stu_relators",
     # spaces
     "SpaceReport", "chi", "dim_space", "reduce_to_monomials", "verify_main_theorem",
 ]

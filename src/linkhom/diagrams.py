@@ -18,8 +18,10 @@ even half-edge at its lower label and takes every rotation in ascending
 half-edge order; the sign compares the input with that representative.
 The trees' labels are contiguous blocks and each tree's edges sort among
 themselves, so a forest's key is joined from its trees' keys: their bodies
-sorted by color sequence, labels offset, edges concatenated.  Rotation
-parities are local to a tree, so the sign is the product of the trees' signs.
+sorted by color sequence, labels offset, edges concatenated (join_trees).
+Rotation parities are local to a tree, so the sign is the product of the
+trees' signs.  split_trees reads the bodies back off a key, so a change to
+one tree is keyed on that tree alone and joined to the others.
 
 Labels come in linear time, after Aho, Hopcroft and Ullman's rooted tree
 isomorphism: each tree is rooted at its least-colored leg, children are
@@ -38,7 +40,8 @@ which reads keys that may come from a document) validate their input.
 representative rebuilds a key the library made; it, disjoint_union,
 graft_with_map and other surgeries on valid diagrams assemble the result
 with Diagram._assemble, which computes the half-edge owners without
-re-checking what the parts guarantee.
+re-checking what the parts guarantee.  join_trees and split_trees work on
+keys and tree bodies and build no diagram.
 """
 
 from __future__ import annotations
@@ -304,6 +307,26 @@ def join_trees(k, trees) -> bytes:
     if max(k, len(desc), len(ends) // 2) > KEY_BYTE_MAX:
         raise DiagramError("diagram too large to encode")
     return bytes([_TAG_UNITRI, k, len(desc), len(ends) // 2, *desc, *ends])
+
+
+def split_trees(key: bytes) -> list:
+    """The trees of a forest key in block order, each as (label offset,
+    body): the inverse of join_trees.  A tree's first edge leaves its root,
+    whose label is one past every label of the trees before it; every other
+    edge leaves a vertex already met."""
+    n = key[2]
+    colors, ends = key[4:4 + n], key[4 + n:]
+    starts, seen = [], -1
+    for i in range(0, len(ends), 2):
+        if ends[i] > seen:
+            starts.append(i)
+        seen = max(seen, ends[i + 1])
+    trees = []
+    for a, b in zip(starts, starts[1:] + [len(ends)]):
+        off = ends[a]
+        trees.append((off, (tuple(colors[off:off + (b - a) // 2 + 1]),
+                            tuple(x - off for x in ends[a:b]))))
+    return trees
 
 
 def forest_key(D: Diagram, colors=None, k=None) -> SignedCanonicalKey:

@@ -9,6 +9,12 @@ terms are built from parts known to be valid: derived diagrams skip
 re-validation, a graft known to be boring is not built, and the base term
 of IHX, STU and link1 is the basis key itself, with sign +1.
 
+Star and IHX relators work on the trees of the basis key, each canonical
+with sign +1 (diagrams.split_trees).  A graft changes two trees and an
+exchange one, so a term keys the changed tree alone and joins it to the
+untouched trees with its sign; each call keys a tree pair and leg pair, or
+a tree and edge, once, in a dict it drops on return.
+
 Sign conventions: IHX is I - H + X with both rotations normalized to start
 with the internal edge (the exchange pattern follows the Jacobi identity);
 STU is S - T + U with S the grafted term and T the original leg order; the
@@ -22,7 +28,8 @@ from dataclasses import dataclass
 
 from . import bounded as bnd
 from . import chords as ch
-from .diagrams import Diagram, forest_key, graft_with_map, representative
+from .diagrams import (Diagram, forest_key, graft_with_map, join_trees, representative,
+                       split_trees, tree_body)
 from .errors import DiagramError
 from .lincomb import LinComb
 
@@ -36,13 +43,13 @@ class Relator:
 _ZERO = LinComb.zero()
 
 
-def _add(terms: dict, sk, c: int = 1) -> None:
-    """Add c times the signed key sk to the integer combination terms."""
-    s = terms.get(sk.key, 0) + c * sk.sign
+def _add(terms: dict, key: bytes, c: int) -> None:
+    """Add c times key to the integer combination terms."""
+    s = terms.get(key, 0) + c
     if s:
-        terms[sk.key] = s
+        terms[key] = s
     else:
-        del terms[sk.key]
+        del terms[key]
 
 
 def _element(terms: dict) -> LinComb:
@@ -50,63 +57,71 @@ def _element(terms: dict) -> LinComb:
 
 
 def _trees(D: Diagram):
-    """The tree index of each vertex of a forest, each tree's leg colors as
-    a bitmask, and the legs of each color."""
-    tree_of, masks, legs = [0] * D.n, [], {}
+    """The tree index of each vertex of a forest and each tree's leg colors
+    as a bitmask."""
+    tree_of, masks = [0] * D.n, []
     for t, comp in enumerate(D.components()):
         mask = 0
         for v in comp:
             tree_of[v] = t
-            c = D.colors[v]
-            if c is not None:
-                mask |= 1 << c
-                legs.setdefault(c, []).append(v)
+            if D.colors[v] is not None:
+                mask |= 1 << D.colors[v]
         masks.append(mask)
-    return tree_of, masks, legs
+    return tree_of, masks
 
 
-def _interesting_graft(trees, u: int, w: int, color: int) -> bool:
-    """Whether grafting the legs u and w of this color keeps a forest whose
-    trees have distinct leg colors, so that the graft is not boring.  Two
-    legs of one color lie in two trees, which the graft joins; the result
-    repeats a color exactly when those trees share one besides this."""
-    tree_of, masks, _ = trees
-    return masks[tree_of[u]] & masks[tree_of[w]] == 1 << color
+def _interesting_graft(masks, a: int, b: int, color: int) -> bool:
+    """Whether grafting a leg of this color in tree a onto one in tree b
+    keeps a forest whose trees have distinct leg colors, so that the graft
+    is not boring.  Two legs of one color lie in two trees, which the graft
+    joins; the result repeats a color exactly when those trees share one
+    besides this.  masks holds each tree's leg colors as a bitmask."""
+    return masks[a] & masks[b] == 1 << color
 
 
-# -- the link relation ---------------------------------------------------------
+# -- the link relation and IHX, on tree bodies ---------------------------------
 
 
-def star_relator(E: Diagram, u: int, key: bytes, trees=None) -> Relator:
-    """Link relation at a distinguished leg: the sum of grafting u onto every
-    other leg of its color vanishes in the homotopy quotient.  E is a forest
-    whose trees have distinct leg colors and key its canonical key, which the
-    relator id carries; trees is _trees(E) when the caller has it.  A graft
-    that would be boring is 0 and is not built, so a leg whose color no other
-    leg has gets the zero element at once."""
-    color = E.colors[u]
-    if color is None:
-        raise DiagramError(f"vertex {u} is not a leg")
-    trees = trees or _trees(E)
-    terms = {}
-    for w in trees[2][color]:
-        if w != u and _interesting_graft(trees, u, w, color):
-            _add(terms, forest_key(graft_with_map(E, u, w)[0]))
-    return Relator(f"star:{key.hex()}:{u}", _element(terms))
+def _graft(k, a, b, u: int, w: int):
+    """(body, sign) of the tree made by grafting leg u of the tree with body
+    a onto leg w of the tree with body b, legs numbered within their trees:
+    the graft of the two-tree forest's representative, keyed."""
+    u, w = (u, len(a[0]) + w) if a < b else (len(b[0]) + u, w)
+    sk = forest_key(graft_with_map(representative(join_trees(k, [a, b])), u, w)[0])
+    return tree_body(sk.key), sk.sign
 
 
 def star_relators(basis) -> list:
-    """Star relators for every (diagram, leg) over a forest basis."""
-    out = []
+    """The link relation at each leg u of each basis forest, in leg order:
+    the grafts of u onto every other leg of its color sum to zero.  A graft
+    of two trees sharing a color besides u's is boring, 0 and not built, so
+    a leg whose color no other leg has gets the zero element at once."""
+    out, grafts = [], {}
     for key in basis:
-        E = representative(key)
-        trees = _trees(E)
-        for u, _ in E.legs():
-            out.append(star_relator(E, u, key, trees))
+        k, name, trees = key[1], key.hex(), split_trees(key)
+        bodies = [body for _, body in trees]
+        order, legs, masks = [], {}, []     # legs in label order, by color; leg colors per tree
+        joined = {}                         # the forest grafting each pair of legs makes
+        for t, (off, (colors, _)) in enumerate(trees):
+            masks.append(sum(1 << c for c in colors if c))
+            for i, c in enumerate(colors):
+                if c:
+                    order.append((off + i, c, t))
+                    legs.setdefault(c, []).append((off + i, t))
+        for u, color, a in order:
+            terms = {}
+            for w, b in legs[color]:
+                if w != u and _interesting_graft(masks, a, b, color):
+                    g = (bodies[a], bodies[b], u - trees[a][0], w - trees[b][0])
+                    if (made := grafts.get(g)) is None:
+                        made = grafts[g] = _graft(k, *g)
+                    # grafting w onto u gives the same forest, with the other sign
+                    if (forest := joined.get((w, u))) is None:
+                        rest = [body for t, body in enumerate(bodies) if t != a and t != b]
+                        forest = joined[u, w] = join_trees(k, rest + [made[0]])
+                    _add(terms, forest, made[1])
+            out.append(Relator(f"star:{name}:{u}", _element(terms)))
     return out
-
-
-# -- IHX ---------------------------------------------------------------------
 
 
 def _rotate_to_front(rot, h):
@@ -122,36 +137,39 @@ def _with_rotations(D: Diagram, x, rot_x, y, rot_y) -> Diagram:
     return Diagram._assemble(D.k, D.colors, tuple(inc), D.components())
 
 
-def internal_edges(D: Diagram) -> list:
-    return [
-        e
-        for e in range(D.n_edges)
-        if D.colors[D.edge_ends(e)[0]] is None and D.colors[D.edge_ends(e)[1]] is None
-    ]
-
-
-def ihx_relator(D: Diagram, e: int, key: bytes) -> Relator:
-    """Three-term exchange at an internal edge, I - H + X.  D is the canonical
-    representative of the forest key, so I is key with sign +1; H and X are
-    trees on the same legs, never boring."""
+def _exchange(k, body, e: int) -> list:
+    """[(body, sign) of H, of X] for the exchange at the internal edge e of
+    the tree with this body, keyed on the tree's representative."""
+    D = representative(join_trees(k, [body]))
     h, hp = 2 * e, 2 * e + 1
     x, y = D.vertex_of(h), D.vertex_of(hp)
-    if D.colors[x] is not None or D.colors[y] is not None or x == y:
-        raise DiagramError(f"edge {e} is not internal")
     _, a1, a2 = _rotate_to_front(D.incidence[x], h)
     _, b1, b2 = _rotate_to_front(D.incidence[y], hp)
-    terms = {key: 1}
-    _add(terms, forest_key(_with_rotations(D, x, (h, a1, b1), y, (hp, a2, b2))), -1)
-    _add(terms, forest_key(_with_rotations(D, x, (h, a2, b1), y, (hp, a1, b2))))
-    return Relator(f"ihx:{key.hex()}:{e}", _element(terms))
+    sks = (forest_key(_with_rotations(D, x, (h, a1, b1), y, (hp, a2, b2))),
+           forest_key(_with_rotations(D, x, (h, a2, b1), y, (hp, a1, b2))))
+    return [(tree_body(sk.key), sk.sign) for sk in sks]
 
 
 def ihx_relators(basis) -> list:
-    out = []
+    """I - H + X at each internal edge of each basis forest, in edge order.
+    I is the forest, with sign +1; H and X are never boring."""
+    out, moves = [], {}
     for key in basis:
-        D = representative(key)
-        for e in internal_edges(D):
-            out.append(ihx_relator(D, e, key))
+        k, trees = key[1], split_trees(key)
+        bodies = [body for _, body in trees]
+        for t, (off, body) in enumerate(trees):
+            colors, ends = body
+            rest = bodies[:t] + bodies[t + 1:]
+            for e in range(len(ends) // 2):
+                if colors[ends[2 * e]] or colors[ends[2 * e + 1]]:
+                    continue
+                if (made := moves.get((body, e))) is None:
+                    made = moves[body, e] = _exchange(k, body, e)
+                terms = {key: 1}
+                for (tree, sign), c in zip(made, (-1, 1)):
+                    _add(terms, join_trees(k, rest + [tree]), c * sign)
+                # a tree's edges follow the edges of the trees before it
+                out.append(Relator(f"ihx:{key.hex()}:{off - t + e}", _element(terms)))
     return out
 
 
@@ -164,10 +182,13 @@ def stu_relator(B: bnd.BoundedDiagram, s: int, p: int, key: bytes, trees=None) -
     graph, and S is built only when it is not boring.  trees is
     _trees(B.graph) when the caller has it."""
     terms = {key: -1}
-    _add(terms, bnd.bounded_key(bnd.swap_adjacent_legs(B, s, p)))
+    sk = bnd.bounded_key(bnd.swap_adjacent_legs(B, s, p))
+    _add(terms, sk.key, sk.sign)
     seg = B.order[s - 1]
-    if _interesting_graft(trees or _trees(B.graph), seg[p], seg[p + 1], s):
-        _add(terms, bnd.bounded_key(bnd.graft_adjacent_legs(B, s, p)))
+    tree_of, masks = trees or _trees(B.graph)
+    if _interesting_graft(masks, tree_of[seg[p]], tree_of[seg[p + 1]], s):
+        sk = bnd.bounded_key(bnd.graft_adjacent_legs(B, s, p))
+        _add(terms, sk.key, sk.sign)
     return Relator(f"stu:{key.hex()}:{s}:{p}", _element(terms))
 
 
@@ -186,7 +207,8 @@ def link1_relator(B: bnd.BoundedDiagram, s: int, key: bytes) -> Relator:
     """Cycling the top leg of segment s to the bottom minus the original; key
     and B as for stu_relator."""
     terms = {key: -1}
-    _add(terms, bnd.bounded_key(bnd.cycle_segment(B, s)))
+    sk = bnd.bounded_key(bnd.cycle_segment(B, s))
+    _add(terms, sk.key, sk.sign)
     return Relator(f"link1:{key.hex()}:{s}", _element(terms))
 
 

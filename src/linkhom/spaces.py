@@ -210,53 +210,40 @@ def verify_main_theorem(k: int, max_degree: int, budget=None) -> list:
     return certs
 
 
-def _basis_forest(key: bytes, k: int, d: int):
-    """The canonical representative of key when key names a basis forest of
-    bhl(k, d), else None.
+def _is_basis_forest(key: bytes, k: int, d: int) -> bool:
+    """Whether key names a basis forest of bhl(k, d).
 
     Every forest of trees with distinct leg colors on k colors and 2d
     vertices is a basis forest, and canonicalize accepts exactly those; a key
     names one when it rebuilds to a diagram whose key it is, with sign +1.
     """
     if len(key) < 3 or key[1] != k or key[2] != 2 * d:
-        return None
+        return False
     try:
-        D = canonical_diagram(key)
-        sk = canonicalize(D)
+        sk = canonicalize(canonical_diagram(key))
     except DiagramError:
-        return None
-    return D if sk.key == key and sk.sign == 1 else None
-
-
-def _parse_relator_id(rid: str):
-    """(kind, key, index) of a star or IHX id spelled exactly as the relators
-    spell one, else None."""
-    parts = rid.split(":")
-    if len(parts) != 3 or parts[0] not in ("star", "ihx"):
-        return None
-    kind, name, index = parts
-    try:
-        key, i = bytes.fromhex(name), int(index)
-    except ValueError:
-        return None
-    # fromhex and int also take uppercase, whitespace, signs, underscores and
-    # leading zeros; only the spelling that formats back is the relator's id
-    return (kind, key, i) if i >= 0 and f"{kind}:{key.hex()}:{i}" == rid else None
+        return False
+    return sk.key == key and sk.sign == 1
 
 
 def relator_by_id(rid: str, k: int, d: int) -> LinComb:
     """The element of the bhl(k, d) relator named rid, rebuilt from the id
     alone: star:<hex>:<u> is the star relator at leg u of the basis forest
-    with key <hex>, ihx:<hex>:<e> the IHX relator at its internal edge e.
-    Any other id raises VerificationError naming it.
+    with key <hex>, ihx:<hex>:<e> the IHX relator at its internal edge e,
+    each made by the generator of its kind over that one forest.  Any other
+    id, or another spelling of one, raises VerificationError naming it.
     """
-    parsed = _parse_relator_id(rid)
-    if parsed and (D := _basis_forest(parsed[1], k, d)) is not None:
-        kind, key, i = parsed
-        if kind == "star" and i < D.n and D.colors[i] is not None:
-            return rel.star_relator(D, i, key).element
-        if kind == "ihx" and i in rel.internal_edges(D):
-            return rel.ihx_relator(D, i, key).element
+    kind, _, rest = rid.partition(":")
+    build = {"star": rel.star_relators, "ihx": rel.ihx_relators}.get(kind)
+    try:
+        key = bytes.fromhex(rest.partition(":")[0])
+    except ValueError:
+        key = b""       # names no forest
+    if build and _is_basis_forest(key, k, d):
+        for r in build([key]):
+            # only the spelling the generator gives is the relator's id
+            if r.rid == rid:
+                return r.element
     raise VerificationError(f"unknown relator id {rid!r}")
 
 
@@ -270,7 +257,7 @@ def check_main_certificate(cert: MembershipCertificate, k: int, d: int) -> None:
     VerificationError otherwise.
     """
     terms = cert.target.items()
-    if len(terms) != 1 or terms[0][1] != 1 or _basis_forest(terms[0][0], k, d) is None:
+    if len(terms) != 1 or terms[0][1] != 1 or not _is_basis_forest(terms[0][0], k, d):
         raise VerificationError(
             f"target is not one basis forest of bhl(k={k}, d={d}) with coefficient 1")
     if not is_compound(terms[0][0]):

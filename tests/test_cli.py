@@ -3,10 +3,14 @@
 Core claims:
     - documented examples print the documented outputs
     - exit codes: 0 ok, 2 usage, 3 budget, 4 verification failure, 5 parse
-    - machine output is byte-identical across runs
+    - machine output is byte-identical across runs, and the verify 4/4
+      certificate directory and dim --json of bhl 5/3, 4/4 and 5/4 are
+      pinned by SHA-256 digest
     - verify writes certificates that check-cert replays
     - check-cert tests a certificate's claim, not only its arithmetic, and
-      names the offending field or relator of a bad document
+      names the offending field or relator of a bad document, including a
+      star id at an internal vertex or past the vertex count and an IHX id
+      at a leg edge or past the edge count
     - an unreadable input file or a negative budget is a one-line error, and
       a zero budget bounds its side
     - a certificate with any one relator id or field changed fails
@@ -25,6 +29,7 @@ Core claims:
       --chord-degree + 1, the forest side at --forest-k, --forest-degree
 """
 
+import hashlib
 import io
 import json
 import os
@@ -316,6 +321,36 @@ def test_dim_json_has_no_timing():
         _run("dim", "--space", "bhl", "-k", "3", "-d", "2", "--json")
 
 
+def _main_stdout(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(list(argv)) == 0, argv
+    return out.getvalue()
+
+
+# SHA-256 digests of outputs whose bytes a change to relator generation must
+# not move: the certificate directory verify writes for k = 4 up to degree 4
+# (each file's name, a NUL, its bytes and a NUL, in name order), and the
+# concatenated dim --json output of bhl 5/3, 4/4 and 5/4.
+PINNED_CERTS_4_4 = (143, "3ba80ba172b60b979c4423530b830fddfb56a711c1eb6efe90ae03005b91cecf")
+PINNED_DIMS = "9050912368a71a929e8089abcc92ae0ec530de677a2a178a3c07fde51b94be50"
+
+
+def test_certificate_and_dim_bytes_are_pinned(tmp_path):
+    outdir = tmp_path / "certs"
+    _main_stdout("verify", "-k", "4", "--max-degree", "4", "--certs", str(outdir))
+    digest = hashlib.sha256()
+    names = sorted(p.name for p in outdir.iterdir())
+    for name in names:
+        digest.update(name.encode() + b"\0" + (outdir / name).read_bytes() + b"\0")
+    assert (len(names), digest.hexdigest()) == PINNED_CERTS_4_4
+    digest = hashlib.sha256()
+    for k, d in ((5, 3), (4, 4), (5, 4)):
+        digest.update(_main_stdout("dim", "--json", "--space", "bhl", "-k", str(k), "-d", str(d),
+                                   "--budget-k", "5", "--budget-d", "4").encode())
+    assert digest.hexdigest() == PINNED_DIMS
+
+
 # -- Certificates round trip -----------------------------------------------------------
 
 def test_verify_then_check_cert(tmp_path):
@@ -448,6 +483,21 @@ def test_check_cert_unknown_relator_is_4(tmp_path, cert_k3_d2):
     combination = doc["combination"] + [{"relator": "ihx:nope:0", "coeff": "1"}]
     err = _check(tmp_path, _with(doc, combination=combination), expect=4)
     assert "'ihx:nope:0'" in err
+
+
+@pytest.mark.parametrize("kind, where", [("star", "internal vertex"), ("star", "vertex count"),
+                                         ("ihx", "leg edge"), ("ihx", "edge count")])
+def test_check_cert_misplaced_relator_index_is_4(tmp_path, cert_k3_d2, kind, where):
+    # the target is the tripod: legs 0, 2, 3 around the internal vertex 1,
+    # and its three edges all end at a leg
+    doc, _ = cert_k3_d2
+    key = bytes.fromhex(doc["target"][0]["key"])
+    index = {"internal vertex": key[4:4 + key[2]].index(0), "vertex count": key[2],
+             "leg edge": 0, "edge count": key[3]}[where]
+    rid = f"{kind}:{key.hex()}:{index}"
+    combination = doc["combination"] + [{"relator": rid, "coeff": "1"}]
+    err = _check(tmp_path, _with(doc, combination=combination), expect=4)
+    assert f"unknown relator id {rid!r}" in err, err
 
 
 @pytest.mark.parametrize("change", [

@@ -9,6 +9,9 @@ Core claims:
       is invariant under rotation
     - every enumerated basis key rebuilds to a non-boring diagram whose key
       it is, with sign +1
+    - split_trees inverts join_trees on every enumerated forest up to
+      k = 5, d = 4: its blocks are the representative's trees, each a
+      canonical tree, repeated trees included
     - enumeration is deterministic and duplicate-free
     - degree-1 forests are exactly the color pairs
     - the support block on colors 1..m holds exactly the basis elements whose
@@ -24,7 +27,16 @@ from hypothesis import given, settings, strategies as st
 from linkhom.bases import enum_forests, trees_on_colors
 from linkhom.bounded import bounded_from_key, bounded_key, enum_bounded
 from linkhom.chords import ChordDiagram, chord_from_key, chord_key, enum_chord, rotate
-from linkhom.diagrams import SignedCanonicalKey, canonical_diagram, canonicalize, is_boring
+from linkhom.diagrams import (
+    SignedCanonicalKey,
+    canonical_diagram,
+    canonicalize,
+    forest_key,
+    is_boring,
+    join_trees,
+    representative,
+    split_trees,
+)
 
 
 # -- Oracles -------------------------------------------------------------------
@@ -118,6 +130,28 @@ def test_forest_keys_round_trip_with_sign_plus_one(k, d):
         D = canonical_diagram(key)
         assert not is_boring(D)
         assert canonicalize(D) == SignedCanonicalKey(key, 1)
+
+
+@pytest.mark.parametrize("k,d", [(k, d) for k in range(1, 6) for d in range(5)])
+def test_split_trees_inverts_join_trees(k, d):
+    for key in enum_forests(k, d):
+        trees = split_trees(key)
+        assert join_trees(k, [body for _, body in trees]) == key
+        # the label blocks are the representative's trees, in block order
+        blocks = [tuple(range(off, off + len(body[0]))) for off, body in trees]
+        assert tuple(blocks) == representative(key).components(), key.hex()
+        for _, body in trees:
+            tree = join_trees(k, [body])
+            assert forest_key(representative(tree)) == SignedCanonicalKey(tree, 1)
+
+
+def test_split_trees_keeps_repeated_trees():
+    segment = ((1, 2), (0, 1))
+    (twice,) = [key for key in enum_forests(2, 2) if len(split_trees(key)) == 2]
+    assert split_trees(twice) == [(0, segment), (2, segment)]
+    (thrice,) = [key for key in enum_forests(2, 3) if len(split_trees(key)) == 3]
+    assert split_trees(thrice) == [(0, segment), (2, segment), (4, segment)]
+    assert split_trees(enum_forests(3, 0)[0]) == []
 
 
 def test_forest_keys_distinct():

@@ -37,7 +37,8 @@ from linkhom.diagrams import (
     is_boring,
 )
 from linkhom.lincomb import LinComb
-from linkhom.relators import _interesting_graft, _trees, internal_edges, star_relator
+from linkhom.relators import _interesting_graft, _trees, star_relators
+from test_relators import internal_edges
 
 
 # -- Oracle -------------------------------------------------------------------
@@ -238,16 +239,19 @@ def test_bounded_keys_match_the_whole_forest_keys(k, d):
 def test_skipped_grafts_are_exactly_the_boring_ones(k, d):
     for key in enum_forests(k, d):
         E = canonical_diagram(key)
-        trees = _trees(E)
+        tree_of, masks = _trees(E)
         for (u, a), (w, b) in itertools.permutations(E.legs(), 2):
             if a == b:
                 G = graft_with_map(E, u, w)[0]
-                assert _interesting_graft(trees, u, w, a) == (not is_boring(G)), (key, u, w)
+                interesting = _interesting_graft(masks, tree_of[u], tree_of[w], a)
+                assert interesting == (not is_boring(G)), (key, u, w)
 
 
 def test_unique_color_star_relator_is_zero():
     # in segment(1, 2) + segment(2, 3) colors 1 and 3 have one leg each
     E = disjoint_union(build(3, [1, 2], [(0, 1)]), build(3, [2, 3], [(0, 1)]))
-    for u, c in E.legs():
-        r = star_relator(E, u, b"")
+    key = _global_key(E, E.colors, 3)[0]
+    relators = star_relators([key])
+    assert [r.rid for r in relators] == [f"star:{key.hex()}:{u}" for u in range(4)]
+    for (u, c), r in zip(canonical_diagram(key).legs(), relators):
         assert r.element.is_zero() == (c != 2), (u, c)

@@ -4,6 +4,12 @@ Core claims:
     - grafting is antisymmetric in its two legs
     - the star relator from a split of tripod(1,2,3) + m copies of
       segment(1,2) is exactly +-(1+m) times the original diagram
+    - star and IHX relators, built on tree bodies with grafts and exchanges
+      keyed once per tree, equal the whole-forest oracle kept here (every
+      term grafted or exchanged in the forest's representative and the
+      whole forest keyed) over every basis forest of bhl 5/3, 4/4, 5/4 and
+      the f(6,4) support block: same ids, same elements, same order
+    - star relators sit at legs only; grafts that would be boring are 0
     - IHX relators over the four-leaf trees have rank 1, leaving the
       two-dimensional space a Lyndon count predicts
     - 4T relators at degree 2 vanish identically and never exceed 4 terms;
@@ -24,24 +30,94 @@ from linkhom.diagrams import (
     canonicalize,
     disjoint_union,
     empty,
+    forest_key,
     graft_with_map,
     inject,
+    representative,
     segment,
     tripod,
 )
-from linkhom.errors import DiagramError
+from linkhom.errors import DiagramError, VerificationError
 from linkhom.lincomb import LinComb
 from linkhom.qlinalg import relator_matrix
 from linkhom.relators import (
+    Relator,
+    _interesting_graft,
+    _rotate_to_front,
+    _trees,
+    _with_rotations,
     count_segments,
     four_t_relator,
     four_t_relators,
     ihx_relators,
     link1_relators,
     one_t_relators,
-    star_relator,
+    star_relators,
     stu_relators,
 )
+from linkhom.spaces import relator_by_id
+
+
+# -- Whole-forest oracle -------------------------------------------------------
+#
+# Star and IHX relators made in the whole forest: every term grafted or
+# exchanged in the forest's representative and the whole forest keyed.  The
+# library keys only the tree a term changes; this is what it is checked against.
+
+def _add(terms, sk, c=1):
+    s = terms.get(sk.key, 0) + c * sk.sign
+    if s:
+        terms[sk.key] = s
+    else:
+        del terms[sk.key]
+
+
+def star_relator(E, u, key):
+    """The link relation at leg u of the forest E, whose key (carried by
+    the id) is key: every graft of u onto another leg of its color, keyed
+    whole; grafts that would be boring are left out."""
+    color = E.colors[u]
+    if color is None:
+        raise DiagramError(f"vertex {u} is not a leg")
+    tree_of, masks = _trees(E)
+    terms = {}
+    for w, c in E.legs():
+        if c == color and w != u and _interesting_graft(masks, tree_of[u], tree_of[w], color):
+            _add(terms, forest_key(graft_with_map(E, u, w)[0]))
+    return Relator(f"star:{key.hex()}:{u}", LinComb(terms))
+
+
+def internal_edges(D):
+    return [e for e in range(D.n_edges)
+            if D.colors[D.edge_ends(e)[0]] is None and D.colors[D.edge_ends(e)[1]] is None]
+
+
+def ihx_relator(D, e, key):
+    """I - H + X at the internal edge e of D, the representative of key."""
+    h, hp = 2 * e, 2 * e + 1
+    x, y = D.vertex_of(h), D.vertex_of(hp)
+    _, a1, a2 = _rotate_to_front(D.incidence[x], h)
+    _, b1, b2 = _rotate_to_front(D.incidence[y], hp)
+    terms = {key: 1}
+    _add(terms, forest_key(_with_rotations(D, x, (h, a1, b1), y, (hp, a2, b2))), -1)
+    _add(terms, forest_key(_with_rotations(D, x, (h, a2, b1), y, (hp, a1, b2))))
+    return Relator(f"ihx:{key.hex()}:{e}", LinComb(terms))
+
+
+def oracle_relators(basis):
+    """Star then IHX relators of a forest basis, by the whole-forest oracle,
+    in the library's order."""
+    stars, ihxs = [], []
+    for key in basis:
+        D = representative(key)
+        stars += [star_relator(D, u, key) for u, _ in D.legs()]
+        ihxs += [ihx_relator(D, e, key) for e in internal_edges(D)]
+    return stars + ihxs
+
+
+def _star_at(key, u):
+    """The library's star relator at leg u of the representative of key."""
+    return next(r for r in star_relators([key]) if r.rid == f"star:{key.hex()}:{u}")
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -111,9 +187,9 @@ def test_graft_preserves_degree():
 def test_star_relator_coefficient_identity(m):
     # split tripod(1,2,3) |_| m seg(1,2) at the color-1 leaf and close it up:
     # every graft lands on the same class, so the relator is +-(1+m) times it
-    E = _union([segment(1, 3, 3)] + [segment(1, 2, 3)] * (1 + m), 3)
-    u = _color1_leg_next_to(E, 3)
-    r = star_relator(E, u, canonicalize(E).key)
+    key = canonicalize(_union([segment(1, 3, 3)] + [segment(1, 2, 3)] * (1 + m), 3)).key
+    u = _color1_leg_next_to(representative(key), 3)
+    r = _star_at(key, u)
     D = _union([tripod(1, 2, 3, 3)] + [segment(1, 2, 3)] * m, 3)
     expected = canonicalize(D)
     terms = list(r.element.items())
@@ -124,18 +200,36 @@ def test_star_relator_coefficient_identity(m):
 
 
 def test_star_relator_needs_a_leg():
-    E = tripod(1, 2, 3, 3)
+    key = canonicalize(tripod(1, 2, 3, 3)).key
+    E = representative(key)
     trivalent = next(v for v in range(E.n) if E.colors[v] is None)
+    assert [r.rid for r in star_relators([key])] == [f"star:{key.hex()}:{u}" for u, _ in E.legs()]
+    with pytest.raises(VerificationError):
+        relator_by_id(f"star:{key.hex()}:{trivalent}", 3, 2)
     with pytest.raises(DiagramError):
-        star_relator(E, trivalent, canonicalize(E).key)
+        star_relator(E, trivalent, key)
 
 
 def test_star_relator_drops_boring_grafts():
     # grafting two seg(1,2) copies yields a repeated-color component: zero
-    E = _union([segment(1, 2, 3)] * 2, 3)
-    u = next(v for v, c in E.legs() if c == 1)
-    r = star_relator(E, u, canonicalize(E).key)
-    assert r.element.is_zero()
+    key = canonicalize(_union([segment(1, 2, 3)] * 2, 3)).key
+    u = next(v for v, c in representative(key).legs() if c == 1)
+    assert _star_at(key, u).element.is_zero()
+
+
+ORACLE_CELLS = [(5, 3, None), (4, 4, None), (5, 4, None), (6, 4, 6)]
+
+
+@pytest.mark.parametrize("k, d, m", ORACLE_CELLS, ids=["5/3", "4/4", "5/4", "f(6,4)"])
+def test_star_and_ihx_relators_match_the_whole_forest_oracle(k, d, m):
+    basis = enum_forests(k, d, m)
+    got = star_relators(basis) + ihx_relators(basis)
+    want = oracle_relators(basis)
+    assert [r.rid for r in got] == [r.rid for r in want]
+    for r, w in zip(got, want):
+        assert r.element == w.element, r.rid
+        # the terms were also met in the same order
+        assert list(r.element._terms) == list(w.element._terms), r.rid
 
 
 # -- IHX ----------------------------------------------------------------------------

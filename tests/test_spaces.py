@@ -12,8 +12,9 @@ Core claims:
       the STU+link1 span
     - the main theorem verifier certifies every compound component and its
       certificates replay by plain summation
-    - a relator id rebuilds to the element the whole-basis relator table
-      holds for it, and names a relator exactly when the table has it
+    - a relator id rebuilds to the element the whole-basis relator table,
+      made by the whole-forest oracle, holds for it, and names a relator
+      exactly when the table has it
     - monomial reduction reads off segment multiplicities
     - out-of-budget requests raise before any work happens
     - the support-block sum gives the report of the whole-cell pipeline
@@ -55,6 +56,7 @@ from linkhom.spaces import (
     space_basis,
     verify_main_theorem,
 )
+from test_relators import oracle_relators
 
 
 def polynomial_dimension(k: int, d: int) -> int:
@@ -71,11 +73,10 @@ def chi_lincomb(L: LinComb, k: int) -> LinComb:
 
 
 def relator_table(k: int, d: int) -> dict:
-    """Every star and IHX relator of bhl(k, d) by id, generated over the
-    whole basis: the oracle for relator_by_id, which rebuilds one from its
-    id alone."""
-    basis = space_basis("bhl", k, d)
-    return {r.rid: r.element for r in star_relators(basis) + ihx_relators(basis)}
+    """Every star and IHX relator of bhl(k, d) by id, made by the whole-forest
+    oracle over the whole basis: the oracle for relator_by_id, which
+    rebuilds one from its id alone."""
+    return {r.rid: r.element for r in oracle_relators(space_basis("bhl", k, d))}
 
 
 def whole_cell_doc(space: str, k: int, d: int) -> dict:
