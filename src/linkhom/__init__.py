@@ -14,7 +14,6 @@ from .diagrams import (
     build,
     canonical_diagram,
     canonicalize,
-    disjoint_union,
     empty,
     graft_with_map,
     inject,
@@ -61,8 +60,7 @@ __all__ = [
     "ChordDiagram", "chord_key", "enum_chord", "inject_chord",
     # diagrams
     "Diagram", "SignedCanonicalKey", "build", "canonical_diagram", "canonicalize",
-    "disjoint_union", "empty", "graft_with_map", "inject", "is_boring", "segment",
-    "tripod",
+    "empty", "graft_with_map", "inject", "is_boring", "segment", "tripod",
     # errors
     "BudgetError", "DiagramError", "ParseError", "UsageError", "VerificationError",
     # gauss

@@ -233,7 +233,7 @@ def _compatible_pairs(bases: dict, top: int, kind: str) -> int:
                 continue
             for a in left:
                 for b in right:
-                    x, y = LinComb.term(a), LinComb.term(b)
+                    x, y = LinComb({a: 1}), LinComb({b: 1})
                     lhs = hopf.coproduct(hopf.product(x, y))
                     rhs = hopf.tensor_product(hopf.coproduct(x), hopf.coproduct(y))
                     if lhs != rhs:

@@ -37,11 +37,11 @@ immutable; operations build new diagrams.
 
 Construction paths: Diagram(...), build (and through it canonical_diagram,
 which reads keys that may come from a document) validate their input.
-representative rebuilds a key the library made; it, disjoint_union,
-graft_with_map and other surgeries on valid diagrams assemble the result
-with Diagram._assemble, which computes the half-edge owners without
-re-checking what the parts guarantee.  join_trees and split_trees work on
-keys and tree bodies and build no diagram.
+representative rebuilds a key the library made; it, graft_with_map and
+other surgeries on valid diagrams assemble the result with Diagram._assemble,
+which computes the half-edge owners without re-checking what the parts
+guarantee.  join_trees and split_trees work on keys and tree bodies and
+build no diagram.
 """
 
 from __future__ import annotations
@@ -207,15 +207,6 @@ def segment(a, b, k) -> Diagram:
 def tripod(a, b, c, k) -> Diagram:
     """One internal vertex with legs a, b, c in rotation order."""
     return build(k, [a, b, c, None], [(3, 0), (3, 1), (3, 2)], {3: (0, 1, 2)})
-
-
-def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
-    if a.k != b.k:
-        raise DiagramError("disjoint union needs equal k")
-    shift, n = 2 * a.n_edges, a.n
-    inc = a.incidence + tuple(tuple(h + shift for h in t) for t in b.incidence)
-    comps = a.components() + tuple(tuple(v + n for v in c) for c in b.components())
-    return Diagram._assemble(a.k, a.colors + b.colors, inc, comps)
 
 
 def graft_with_map(E: Diagram, u: int, w: int):

@@ -1,10 +1,11 @@
 """Product, coproduct, and primitivity for chord and forest classes.
 
-Both graded products live on LinComb elements and dispatch on the key tag:
-chord classes multiply by splicing circles, forest classes by disjoint union.
-Coproducts sum over splittings, of the chord set in one case and of the
-diagram components in the other.  Tensors are LinCombs keyed by (left, right)
-key pairs.
+Products dispatch on the key tag: chord classes multiply by splicing circles,
+forests by disjoint union, which joins their tree bodies.  Coproducts sum
+over splittings of the chord set, or of the trees split_trees reads off a
+forest key.  Tensors are LinCombs keyed by (left, right) key pairs, with int
+coefficients.  The operations take keys this library made, as representative
+does; no CLI path hands them a key read from a document.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import itertools
 
 from . import chords as ch
-from .diagrams import Diagram, build, canonical_diagram, disjoint_union, inject
-from .diagrams import _TAG_UNITRI
+from .diagrams import _TAG_UNITRI, join_trees, split_trees
 from .errors import DiagramError
 from .lincomb import LinComb
 
@@ -24,16 +24,6 @@ def _tag(key: bytes) -> int:
     if not key:
         raise DiagramError("empty key")
     return key[0]
-
-
-def subdiagram(D: Diagram, comps) -> Diagram:
-    """Restriction of D to the given components (tuples from D.components()):
-    kept vertices and edges are renumbered in order, and half-edge 2e + b
-    becomes 2 * new(e) + b."""
-    keep = sorted(v for comp in comps for v in comp)
-    new = {e: i for i, e in enumerate(sorted({h // 2 for v in keep for h in D.incidence[v]}))}
-    return Diagram._assemble(D.k, tuple(D.colors[v] for v in keep), tuple(
-        tuple(2 * new[h // 2] + h % 2 for h in D.incidence[v]) for v in keep))
 
 
 def _splits(n: int):
@@ -52,10 +42,11 @@ def product_keys(a: bytes, b: bytes) -> LinComb:
         raise DiagramError("cannot multiply classes of different kinds")
     if ta == _CHORD:
         c = ch.connect_sum(ch.chord_from_key(a), ch.chord_from_key(b))
-        return ch.inject_chord(c)
+        return LinComb({ch.chord_key(c): 1})
     if ta == _TAG_UNITRI:
-        D = disjoint_union(canonical_diagram(a), canonical_diagram(b))
-        return inject(D)
+        if a[1] != b[1]:
+            raise DiagramError("disjoint union needs equal k")
+        return LinComb({join_trees(a[1], [t for x in (a, b) for _, t in split_trees(x)]): 1})
     raise DiagramError(f"no product for key tag {ta:#x}")
 
 
@@ -68,25 +59,24 @@ def product(x: LinComb, y: LinComb) -> LinComb:
 
 
 def coproduct_key(key: bytes) -> LinComb:
-    """Sum of left/right splittings as a tensor LinComb."""
+    """Sum of left/right splittings of the chords or of the trees, as a
+    tensor LinComb; splits that swap equal trees add up."""
     t = _tag(key)
     if t == _CHORD:
         c = ch.chord_from_key(key)
         n = c.d
 
         def part(index):
-            return LinComb.term(ch.chord_key(ch.restrict(c, index)))
+            return ch.chord_key(ch.restrict(c, index))
     elif t == _TAG_UNITRI:
-        D = canonical_diagram(key)
-        comps = D.components()
-        n = len(comps)
+        bodies = [body for _, body in split_trees(key)]
+        n = len(bodies)
 
         def part(index):
-            return inject(subdiagram(D, [comps[i] for i in index]))
+            return join_trees(key[1], [bodies[i] for i in index])
     else:
         raise DiagramError(f"no coproduct for key tag {t:#x}")
-    return LinComb(term for left, right in _splits(n)
-                   for term in tensor(part(left), part(right)).items())
+    return LinComb(((part(left), part(right)), 1) for left, right in _splits(n))
 
 
 def coproduct(x: LinComb) -> LinComb:
@@ -116,9 +106,7 @@ def unit_key(kind: bytes) -> bytes:
     if _tag(kind) == _CHORD:
         return ch.chord_key(ch.ChordDiagram(()))
     if _tag(kind) == _TAG_UNITRI:
-        k = kind[1]
-        sk = inject(build(k, [], []))
-        return sk.keys()[0]
+        return join_trees(kind[1], [])
     raise DiagramError(f"no unit for key tag {kind[0]:#x}")
 
 
@@ -126,7 +114,5 @@ def is_primitive(x: LinComb) -> bool:
     """True when coproduct(x) = x (x) 1 + 1 (x) x."""
     if x.is_zero():
         return True
-    kind = x.keys()[0]
-    one = LinComb.term(unit_key(kind))
-    want = tensor(x, one) + tensor(one, x)
-    return coproduct(x) == want
+    one = LinComb({unit_key(x.keys()[0]): 1})
+    return coproduct(x) == tensor(x, one) + tensor(one, x)

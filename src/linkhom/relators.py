@@ -268,17 +268,3 @@ def four_t_relators(basis) -> list:
         out.extend(four_t_relator(key, p) for p in range(n) if pairing[p] != (p + 1) % n)
     return out
 
-
-# -- counting ------------------------------------------------------------------
-
-
-def count_segments(D: Diagram, i: int, j: int) -> int:
-    """Number of components that are single segments colored {i, j}."""
-    if i == j:
-        raise DiagramError("segment colors must differ")
-    want = {i, j}
-    total = 0
-    for comp in D.components():
-        if len(comp) == 2 and {D.colors[v] for v in comp} == want:
-            total += 1
-    return total

@@ -23,7 +23,7 @@ triviality verification still eliminates over the whole cell.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -275,19 +275,19 @@ def check_main_certificate(cert: MembershipCertificate, k: int, d: int) -> None:
 def reduce_to_monomials(L: LinComb, k: int) -> dict:
     """Image of a homotopy class in the polynomial algebra on x_ij.
 
-    Diagrams with a component of degree >= 2 map to 0 (that is verify_main_
-    theorem's content); segment-only forests map to the monomial recording
-    their segment multiplicities.  Monomials are tuples (((i, j), e), ...).
+    Each key must name a basis forest on k colors, or DiagramError is raised.
+    Forests with a component of degree >= 2 map to 0 (that is verify_main_
+    theorem's content); a segment-only forest's key lists its segments' color
+    pairs (i, j), i < j, in sorted order, and the monomial counts them.
+    Monomials are tuples (((i, j), e), ...).
     """
     terms = []
     for key, coeff in L.items():
-        D = canonical_diagram(key)
-        if is_boring(D):
-            raise DiagramError("boring content is outside the homotopy quotient")
+        if len(key) < 3 or not _is_basis_forest(key, k, key[2] // 2):
+            raise DiagramError(f"key {key.hex()} names no basis forest on {k} colors")
         if not is_compound(key):
-            mono = tuple(((i, j), m) for i, j in itertools.combinations(range(1, k + 1), 2)
-                         if (m := rel.count_segments(D, i, j)))
-            terms.append((mono, coeff))
+            colors = key[4:4 + key[2]]
+            terms.append((tuple(Counter(zip(colors[::2], colors[1::2])).items()), coeff))
     return dict(LinComb(terms).items())
 
 

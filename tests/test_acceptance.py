@@ -30,7 +30,6 @@ from linkhom.chords import chord_from_key, connect_sum, enum_chord, inject_chord
 from linkhom.diagrams import (
     canonical_diagram,
     canonicalize,
-    disjoint_union,
     empty,
     representative,
     segment,
@@ -47,6 +46,7 @@ from linkhom.relators import (
     stu_relators,
 )
 from linkhom.spaces import dim_space, verify_main_theorem
+from test_diagrams import disjoint_union
 from test_spaces import chi_lincomb, relator_table
 
 FIXTURES = Path(__file__).parent / "fixtures"

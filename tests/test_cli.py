@@ -24,7 +24,7 @@ Core claims:
       exit 5 with one line, not a traceback
     - chi checks the ahl budget at the input's degree; reduce and chi take
       -k >= 1 and lk takes --fuzz >= 0, or exit 2 before reading the input
-    - hopf-check counts the pairs it checks, pinned at two settings
+    - hopf-check counts the pairs it checks, pinned at three settings
     - hopf-check checks its budget before any work: the chord side at
       --chord-degree + 1, the forest side at --forest-k, --forest-degree
 """
@@ -394,7 +394,9 @@ def test_hopf_check_small():
     ([], '{"chord_pairs":8,"connect_sum_pairs":5,"forest_pairs":51,"ok":true}\n'),
     (["--chord-degree", "3"],
      '{"chord_pairs":22,"connect_sum_pairs":19,"forest_pairs":51,"ok":true}\n'),
-], ids=["defaults", "chord-3"])
+    (["--chord-degree", "3", "--forest-k", "4", "--forest-degree", "4"],
+     '{"chord_pairs":22,"connect_sum_pairs":19,"forest_pairs":1957,"ok":true}\n'),
+], ids=["defaults", "chord-3", "chord-3-forest-4-4"])
 def test_hopf_check_counts(argv, out):
     assert _run("--json", "hopf-check", *argv) == out
 

@@ -29,7 +29,6 @@ from linkhom.diagrams import (
     build,
     canonical_diagram,
     canonicalize,
-    disjoint_union,
     empty,
     graft_with_map,
     inject,
@@ -74,6 +73,17 @@ def caterpillar(colors, k) -> Diagram:
         edges.append((t, i + 1))
     edges.append((spine[-1], m - 1))
     return build(k, verts, edges)
+
+
+def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
+    """a beside b, b's vertices and half-edges numbered after a's: the forest
+    product that the key path (join_trees of tree bodies) is checked against."""
+    if a.k != b.k:
+        raise DiagramError("disjoint union needs equal k")
+    shift, n = 2 * a.n_edges, a.n
+    inc = a.incidence + tuple(tuple(h + shift for h in t) for t in b.incidence)
+    comps = a.components() + tuple(tuple(v + n for v in c) for c in b.components())
+    return Diagram._assemble(a.k, a.colors + b.colors, inc, comps)
 
 
 def _tadpole(k=2):

@@ -31,13 +31,13 @@ from linkhom.diagrams import (
     Diagram,
     build,
     canonical_diagram,
-    disjoint_union,
     empty,
     graft_with_map,
     is_boring,
 )
 from linkhom.lincomb import LinComb
 from linkhom.relators import _interesting_graft, _trees, star_relators
+from test_diagrams import disjoint_union
 from test_relators import internal_edges
 
 

@@ -7,9 +7,17 @@ Core claims:
     - connected diagrams are primitive; the crossed two-chord class needs
       its isolated-chord correction
     - chord products are connect sums, forest products disjoint unions
+    - forest products join tree bodies and forest coproducts split the set
+      of trees; both equal the whole-diagram oracle kept here (disjoint
+      union of rebuilt representatives, restriction to components, each
+      part keyed again) on every pair of k = 3 forests of total degree <= 4,
+      and equal trees split with multiplicity
+    - a product of forests with different k, of mixed kinds, or with an
+      empty key raises DiagramError
     - tensor bookkeeping multiplies componentwise and flips cleanly
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,9 +25,9 @@ import pytest
 from linkhom.bases import enum_forests
 from linkhom.chords import _TAG_CHORD, chord_key, connect_sum, enum_chord, chord_from_key
 from linkhom.diagrams import (
+    Diagram,
     canonical_diagram,
     canonicalize,
-    disjoint_union,
     empty,
     inject,
     segment,
@@ -35,7 +43,9 @@ from linkhom.hopf import (
     tensor_product,
     unit_key,
 )
+from linkhom.errors import DiagramError
 from linkhom.lincomb import LinComb
+from test_diagrams import disjoint_union
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -99,6 +109,37 @@ def _forest_classes(k, max_d):
     return out
 
 
+# -- Whole-diagram oracle -------------------------------------------------------
+
+def subdiagram(D: Diagram, comps) -> Diagram:
+    """Restriction of D to the given components (tuples from D.components()):
+    kept vertices and edges are renumbered in order, and half-edge 2e + b
+    becomes 2 * new(e) + b."""
+    keep = sorted(v for comp in comps for v in comp)
+    new = {e: i for i, e in enumerate(sorted({h // 2 for v in keep for h in D.incidence[v]}))}
+    return Diagram._assemble(D.k, tuple(D.colors[v] for v in keep), tuple(
+        tuple(2 * new[h // 2] + h % 2 for h in D.incidence[v]) for v in keep))
+
+
+def oracle_product(a: bytes, b: bytes) -> LinComb:
+    """The product of two forest keys: the disjoint union of their
+    representatives, keyed again."""
+    return inject(disjoint_union(canonical_diagram(a), canonical_diagram(b)))
+
+
+def oracle_coproduct(key: bytes) -> LinComb:
+    """The coproduct of a forest key: every split of the representative's
+    components into two subdiagrams, each keyed again."""
+    D = canonical_diagram(key)
+    comps = D.components()
+    out = LinComb.zero()
+    for r in range(len(comps) + 1):
+        for left in itertools.combinations(comps, r):
+            right = [c for c in comps if c not in left]
+            out = out + tensor(inject(subdiagram(D, left)), inject(subdiagram(D, right)))
+    return out
+
+
 # -- Units ----------------------------------------------------------------------
 
 def test_chord_unit_is_identity():
@@ -129,6 +170,48 @@ def test_forest_product_is_disjoint_union():
     a, b = segment(1, 2, 3), tripod(1, 2, 3, 3)
     x = product(inject(a), inject(b))
     assert x == inject(disjoint_union(a, b))
+
+
+def test_forest_product_and_coproduct_match_the_whole_diagram_oracle():
+    by_degree = {d: enum_forests(3, d) for d in range(5)}
+    assert by_degree[0] == [unit_key(by_degree[1][0])]
+    pairs = 0
+    for d1, left in by_degree.items():
+        for d2, right in by_degree.items():
+            if d1 + d2 > 4:
+                continue
+            for a in left:
+                for b in right:
+                    x = product_keys(a, b)
+                    assert x == oracle_product(a, b), (a.hex(), b.hex())
+                    (key,) = x.keys()
+                    assert coproduct_key(key) == oracle_coproduct(key), key.hex()
+                    pairs += 1
+    assert pairs == 269
+
+
+def test_equal_trees_split_with_multiplicity():
+    seg = canonicalize(segment(1, 2, 3)).key
+    key = canonicalize(disjoint_union(segment(1, 2, 3), segment(1, 2, 3))).key
+    assert product_keys(seg, seg) == LinComb.term(key)
+    one = unit_key(key)
+    x = coproduct_key(key)
+    assert x == oracle_coproduct(key)
+    assert dict(x.items()) == {(one, key): 1, (seg, seg): 2, (key, one): 1}
+
+
+def test_forest_product_rejects_different_k():
+    a, b = canonicalize(segment(1, 2, 2)).key, canonicalize(segment(1, 2, 3)).key
+    with pytest.raises(DiagramError):
+        product(LinComb.term(a), LinComb.term(b))
+
+
+def test_empty_key_raises():
+    f = canonicalize(segment(1, 2, 3)).key
+    for call in (lambda: product_keys(b"", f), lambda: product_keys(f, b""),
+                 lambda: coproduct_key(b""), lambda: unit_key(b"")):
+        with pytest.raises(DiagramError):
+            call()
 
 
 def test_forest_product_commutative_small():

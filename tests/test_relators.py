@@ -16,6 +16,8 @@ Core claims:
       one degree-3 relator is checked term by term against a hand computation
     - 1T relators are supported on diagrams with an isolated chord
     - STU and link1 relators stay inside their degree's bounded basis
+    - count_segments, the oracle for spaces.reduce_to_monomials, counts
+      segment components of one color pair and nothing else
 """
 
 from fractions import Fraction
@@ -28,7 +30,6 @@ from linkhom.bounded import enum_bounded
 from linkhom.chords import ChordDiagram, chord_key, enum_chord, has_isolated_chord, chord_from_key
 from linkhom.diagrams import (
     canonicalize,
-    disjoint_union,
     empty,
     forest_key,
     graft_with_map,
@@ -46,7 +47,6 @@ from linkhom.relators import (
     _rotate_to_front,
     _trees,
     _with_rotations,
-    count_segments,
     four_t_relator,
     four_t_relators,
     ihx_relators,
@@ -56,6 +56,7 @@ from linkhom.relators import (
     stu_relators,
 )
 from linkhom.spaces import relator_by_id
+from test_diagrams import disjoint_union
 
 
 # -- Whole-forest oracle -------------------------------------------------------
@@ -127,6 +128,19 @@ def _union(parts, k):
     for p in parts:
         out = disjoint_union(out, p)
     return out
+
+
+def count_segments(D, i: int, j: int) -> int:
+    """Number of components that are single segments colored {i, j}: the
+    oracle for the monomials reduce_to_monomials reads off a key."""
+    if i == j:
+        raise DiagramError("segment colors must differ")
+    want = {i, j}
+    total = 0
+    for comp in D.components():
+        if len(comp) == 2 and {D.colors[v] for v in comp} == want:
+            total += 1
+    return total
 
 
 def _color1_leg_next_to(E, neighbor_color):

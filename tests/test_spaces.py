@@ -15,7 +15,9 @@ Core claims:
     - a relator id rebuilds to the element the whole-basis relator table,
       made by the whole-forest oracle, holds for it, and names a relator
       exactly when the table has it
-    - monomial reduction reads off segment multiplicities
+    - monomial reduction reads segment multiplicities off the key, as the
+      count_segments oracle counts them on the rebuilt diagram, and rejects
+      a key of another k, a short key or a boring one
     - out-of-budget requests raise before any work happens
     - the support-block sum gives the report of the whole-cell pipeline
       (whole basis, every relator, one matrix), byte for byte
@@ -23,6 +25,7 @@ Core claims:
       multigraphs with d edges on m labeled vertices and none isolated
 """
 
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -32,7 +35,6 @@ from linkhom.chords import ChordDiagram
 from linkhom.diagrams import (
     canonical_diagram,
     canonicalize,
-    disjoint_union,
     empty,
     inject,
     segment,
@@ -56,7 +58,8 @@ from linkhom.spaces import (
     space_basis,
     verify_main_theorem,
 )
-from test_relators import oracle_relators
+from test_diagrams import disjoint_union
+from test_relators import count_segments, oracle_relators
 
 
 def polynomial_dimension(k: int, d: int) -> int:
@@ -308,6 +311,40 @@ def test_reduce_segments_to_monomial():
 def test_reduce_drops_compound_components():
     red = reduce_to_monomials(inject(tripod(1, 2, 3, 3)), 3)
     assert red == {}
+
+
+def _oracle_monomials(L, k):
+    """reduce_to_monomials through whole diagrams: each segment-only forest
+    rebuilt and its segments counted per color pair."""
+    terms = []
+    for key, coeff in L.items():
+        D = canonical_diagram(key)
+        if all(len(comp) == 2 for comp in D.components()):
+            mono = tuple(((i, j), m) for i, j in itertools.combinations(range(1, k + 1), 2)
+                         if (m := count_segments(D, i, j)))
+            terms.append((mono, coeff))
+    return dict(LinComb(terms).items())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_reduce_matches_the_segment_count_oracle(k):
+    for d in range(4):
+        for key in enum_forests(k, d):
+            L = LinComb.term(key, Fraction(3, 2))
+            assert reduce_to_monomials(L, k) == _oracle_monomials(L, k), key.hex()
+    # the whole basis as one sum: the compound forests contribute nothing
+    L = LinComb.of_terms({key: Fraction(1) for d in range(4) for key in enum_forests(k, d)})
+    assert reduce_to_monomials(L, k) == _oracle_monomials(L, k)
+
+
+@pytest.mark.parametrize("key", [
+    inject(segment(4, 5, 5)).keys()[0],         # x45 of k = 5, read at k = 3
+    canonicalize(empty(4)).key,                 # the empty forest of k = 4
+    b"", b"\x55", b"\x55\x03", b"\x55\x03\x02\x01\x01",
+], ids=["x45-k5", "empty-forest-k4", "empty", "tag", "tag-k", "truncated"])
+def test_reduce_rejects_keys_of_another_k_and_short_keys(key):
+    with pytest.raises(DiagramError):
+        reduce_to_monomials(LinComb.term(key), 3)
 
 
 def test_reduce_rejects_boring():
