@@ -6,8 +6,8 @@ resulting dimension and triviality statements.
 """
 
 from .bases import enum_forests, trees_on_colors
-from .bounded import BoundedDiagram, enum_bounded, inject_bounded
-from .chords import ChordDiagram, chord_key, enum_chord, inject_chord
+from .bounded import BoundedDiagram, enum_bounded
+from .chords import enum_chord
 from .diagrams import (
     Diagram,
     SignedCanonicalKey,
@@ -56,8 +56,8 @@ __version__ = "0.1.0"
 __all__ = [
     # bases, bounded, chords
     "enum_forests", "trees_on_colors",
-    "BoundedDiagram", "enum_bounded", "inject_bounded",
-    "ChordDiagram", "chord_key", "enum_chord", "inject_chord",
+    "BoundedDiagram", "enum_bounded",
+    "enum_chord",
     # diagrams
     "Diagram", "SignedCanonicalKey", "build", "canonical_diagram", "canonicalize",
     "empty", "graft_with_map", "inject", "is_boring", "segment", "tripod",

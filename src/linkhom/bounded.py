@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import diagrams
 from .diagrams import Diagram, SignedCanonicalKey, forest_key, representative
 from .errors import DiagramError
-from .lincomb import LinComb
 
 _TAG_BOUNDED = 0x42
 
@@ -94,16 +92,6 @@ def bounded_from_key(key: bytes) -> BoundedDiagram:
         order.append(tuple(seg))
     graph = Diagram._assemble(k, tuple(colors), inner.incidence)
     return BoundedDiagram._assemble(k, graph, tuple(order))
-
-
-def inject_bounded(B: BoundedDiagram, coeff=1) -> LinComb:
-    # boring means two legs of one component on one segment, or a cycle: it
-    # is decided by segment colors, while the key uses slot colors, which
-    # are distinct, so what is not boring is a forest bounded_key can key
-    if diagrams.is_boring(B.graph):
-        return LinComb.zero()
-    sk = bounded_key(B)
-    return LinComb.term(sk.key, Fraction(coeff) * sk.sign)
 
 
 def leg_orders(D: Diagram):

@@ -2,57 +2,19 @@
 
 A degree-d chord diagram is a perfect matching on 2d circle points; two
 diagrams are equal when a rotation carries one matching to the other.  The
-circle is oriented and never reflected.
+circle is oriented and never reflected.  A diagram is its key, the least
+rotation of its pairing (pairing_key): every operation here takes keys and
+returns keys, and key[2:] is the pairing, key[1] the degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .errors import DiagramError
-from .lincomb import LinComb
-
 _TAG_CHORD = 0x43
 
 
-@dataclass(frozen=True)
-class ChordDiagram:
-    pairing: tuple      # pairing[i] = partner of point i on the circle
-
-    def __post_init__(self):
-        n = len(self.pairing)
-        if n % 2:
-            raise DiagramError("odd number of endpoints")
-        for i, j in enumerate(self.pairing):
-            if not 0 <= j < n or j == i or self.pairing[j] != i:
-                raise DiagramError(f"point {i} is not matched involutively")
-
-    @property
-    def d(self) -> int:
-        return len(self.pairing) // 2
-
-    def chords(self):
-        """Chords as (i, j) pairs with i < j, sorted."""
-        return [(i, j) for i, j in enumerate(self.pairing) if i < j]
-
-
-def rotate(c: ChordDiagram, r: int) -> ChordDiagram:
-    n = len(c.pairing)
-    if n == 0:
-        return c
-    r %= n
-    return ChordDiagram(tuple((c.pairing[(i + r) % n] - r) % n for i in range(n)))
-
-
-def chord_key(c: ChordDiagram) -> bytes:
-    """Canonical byte key: the least pairing over all rotations."""
-    return pairing_key(c.pairing)
-
-
 def pairing_key(p) -> bytes:
-    """chord_key of a pairing that is known to be valid, without building a
-    ChordDiagram.
+    """Canonical byte key of a pairing that is known to be valid: the least
+    pairing over all rotations.
 
     The rotation that starts at point r begins with the forward gap
     (p[r] - r) % n, so only rotations starting at a point of least gap can be
@@ -68,16 +30,6 @@ def pairing_key(p) -> bytes:
             for r in range(n) if gaps[r] == low
         )
     return bytes([_TAG_CHORD, n // 2, *best])
-
-
-def chord_from_key(key: bytes) -> ChordDiagram:
-    if len(key) < 2 or key[0] != _TAG_CHORD or len(key) != 2 + 2 * key[1]:
-        raise DiagramError("not a chord diagram key")
-    return ChordDiagram(tuple(key[2:]))
-
-
-def inject_chord(c: ChordDiagram, coeff=1) -> LinComb:
-    return LinComb.term(chord_key(c), Fraction(coeff))
 
 
 def enum_chord(d: int) -> list:
@@ -114,21 +66,24 @@ def has_isolated_chord(pairing) -> bool:
 # -- surgeries ------------------------------------------------------------
 
 
-def restrict(c: ChordDiagram, chord_indices) -> ChordDiagram:
-    """Keep only the chords with the given indices into c.chords()."""
-    keep = set(chord_indices)
-    chords = c.chords()
-    points = sorted(p for idx in keep for p in chords[idx])
-    relabel = {p: i for i, p in enumerate(points)}
-    pairing = [0] * len(points)
-    for idx in keep:
-        a, b = chords[idx]
-        pairing[relabel[a]], pairing[relabel[b]] = relabel[b], relabel[a]
-    return ChordDiagram(tuple(pairing))
+def restrict(key: bytes, chord_indices) -> bytes:
+    """Key of the diagram that keeps only the chords with the given indices,
+    the chords of key's pairing numbered by their first endpoint."""
+    p = key[2:]
+    chords = [i for i, j in enumerate(p) if i < j]
+    points = sorted(x for idx in chord_indices for x in (chords[idx], p[chords[idx]]))
+    relabel = {x: i for i, x in enumerate(points)}
+    return pairing_key([relabel[p[x]] for x in points])
 
 
-def connect_sum(c1: ChordDiagram, c2: ChordDiagram, arc1: int = 0, arc2: int = 0) -> ChordDiagram:
-    """Splice the circles, cutting each at the arc before the given point."""
-    a, b = rotate(c1, arc1), rotate(c2, arc2)
-    shift = len(a.pairing)
-    return ChordDiagram(a.pairing + tuple(p + shift for p in b.pairing))
+def _cut(p, r: int) -> tuple:
+    """The pairing p read from point r on."""
+    n = len(p)
+    return tuple((p[(i + r) % n] - r) % n for i in range(n))
+
+
+def connect_sum(a: bytes, b: bytes, arc1: int = 0, arc2: int = 0) -> bytes:
+    """Key of the splice of two circles, each cut at the arc before the given
+    point of its key's pairing."""
+    p, q = _cut(a[2:], arc1), _cut(b[2:], arc2)
+    return pairing_key(p + tuple(x + len(p) for x in q))

@@ -47,7 +47,6 @@ build no diagram.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import DiagramError
@@ -401,10 +400,10 @@ def representative(key: bytes) -> Diagram:
                              tuple(map(tuple, incidence)))
 
 
-def inject(D: Diagram, coeff=1) -> LinComb:
+def inject(D: Diagram) -> LinComb:
     """Image of a diagram in the homotopy quotient: 0 when boring, otherwise
     its signed canonical term."""
     if is_boring(D):
         return LinComb.zero()
     sk = canonicalize(D)
-    return LinComb.term(sk.key, Fraction(coeff) * sk.sign)
+    return LinComb.term(sk.key, sk.sign)

@@ -1,11 +1,13 @@
 """Product, coproduct, and primitivity for chord and forest classes.
 
-Products dispatch on the key tag: chord classes multiply by splicing circles,
-forests by disjoint union, which joins their tree bodies.  Coproducts sum
-over splittings of the chord set, or of the trees split_trees reads off a
-forest key.  Tensors are LinCombs keyed by (left, right) key pairs, with int
-coefficients.  The operations take keys this library made, as representative
-does; no CLI path hands them a key read from a document.
+Products dispatch on the key tag: chord keys multiply by splicing circles
+(chords.connect_sum), forests by disjoint union, which joins their tree
+bodies.  Coproducts sum over splittings of the chords of a key's pairing, or
+of the trees split_trees reads off a forest key.  A chord product depends on
+where each circle is cut, so the chord laws hold modulo 4T, not on keys; the
+forest laws hold on keys.  Tensors are LinCombs keyed by (left, right) key
+pairs, with int coefficients.  The operations take keys this library made,
+as representative does; no CLI path hands them a key read from a document.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ def product_keys(a: bytes, b: bytes) -> LinComb:
     if ta != tb:
         raise DiagramError("cannot multiply classes of different kinds")
     if ta == _CHORD:
-        c = ch.connect_sum(ch.chord_from_key(a), ch.chord_from_key(b))
-        return LinComb({ch.chord_key(c): 1})
+        return LinComb({ch.connect_sum(a, b): 1})
     if ta == _TAG_UNITRI:
         if a[1] != b[1]:
             raise DiagramError("disjoint union needs equal k")
@@ -63,11 +64,10 @@ def coproduct_key(key: bytes) -> LinComb:
     tensor LinComb; splits that swap equal trees add up."""
     t = _tag(key)
     if t == _CHORD:
-        c = ch.chord_from_key(key)
-        n = c.d
+        n = key[1]
 
         def part(index):
-            return ch.chord_key(ch.restrict(c, index))
+            return ch.restrict(key, index)
     elif t == _TAG_UNITRI:
         bodies = [body for _, body in split_trees(key)]
         n = len(bodies)
@@ -104,7 +104,7 @@ def tensor_product(s: LinComb, t: LinComb) -> LinComb:
 def unit_key(kind: bytes) -> bytes:
     """Key of the empty class of the same kind as the given key."""
     if _tag(kind) == _CHORD:
-        return ch.chord_key(ch.ChordDiagram(()))
+        return ch.pairing_key(())
     if _tag(kind) == _TAG_UNITRI:
         return join_trees(kind[1], [])
     raise DiagramError(f"no unit for key tag {kind[0]:#x}")

@@ -10,8 +10,10 @@ A diagram document looks like
 Vertex and edge ids are arbitrary integers, unique within their kind.  A
 trivalent rotation lists incident edge ids in cyclic order; a self-loop lists
 its edge twice.  When the rotation is omitted the incident edges are taken in
-ascending id order.  parse/serialize round-trip up to isomorphism: the parsed
-diagram has the same canonical key.
+ascending id order.  Every integer field is a JSON integer: true and 1.0 are
+rejected.  parse/serialize round-trip up to isomorphism: the parsed diagram
+has the same canonical key.  parse is the one reader, for reduce and chi; no
+command reads the chord and bounded documents that enumerate writes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import json
 
 from . import bounded as bnd
-from . import chords as ch
 from .diagrams import Diagram, build
 from .errors import ParseError
 
@@ -59,7 +60,9 @@ def parse(doc) -> Diagram:
     for field in ("k", "vertices", "edges"):
         _require(field in doc, "document", f"missing field {field!r}")
     k = doc["k"]
-    _require(isinstance(k, int) and k >= 1, "k", "must be an integer >= 1")
+    _require(type(k) is int and k >= 1, "k", "must be an integer >= 1")
+    for field in ("vertices", "edges"):
+        _require(isinstance(doc[field], list), field, "expected an array")
 
     order = []          # vertex ids in document order
     colors = {}
@@ -67,14 +70,14 @@ def parse(doc) -> Diagram:
     for i, v in enumerate(doc["vertices"]):
         where = f"vertices[{i}]"
         _require(isinstance(v, dict), where, "expected an object")
-        _require(isinstance(v.get("id"), int), where, "missing integer id")
+        _require(type(v.get("id")) is int, where, "id must be an integer")
         vid = v["id"]
         _require(vid not in colors, where, f"duplicate vertex id {vid}")
         kind = v.get("kind")
         _require(kind in ("uni", "tri"), where, f"kind must be uni or tri, got {kind!r}")
         if kind == "uni":
             color = v.get("color")
-            _require(isinstance(color, int), where, "univalent vertex needs an integer color")
+            _require(type(color) is int, where, "univalent vertex needs an integer color")
             _require(1 <= color <= k, where, f"color {color} out of range 1..{k}")
             _require("rotation" not in v, where, "rotation belongs to trivalent vertices")
             colors[vid] = color
@@ -83,7 +86,7 @@ def parse(doc) -> Diagram:
             if "rotation" in v:
                 rot = v["rotation"]
                 _require(isinstance(rot, list) and len(rot) == 3
-                         and all(isinstance(e, int) for e in rot),
+                         and all(type(e) is int for e in rot),
                          where, "rotation must list three edge ids")
                 rotations[vid] = tuple(rot)
         order.append(vid)
@@ -94,11 +97,13 @@ def parse(doc) -> Diagram:
     for i, e in enumerate(doc["edges"]):
         where = f"edges[{i}]"
         _require(isinstance(e, dict), where, "expected an object")
-        _require(isinstance(e.get("id"), int), where, "missing integer id")
+        _require(type(e.get("id")) is int, where, "id must be an integer")
         eid = e["id"]
         _require(eid not in edge_ids, where, f"duplicate edge id {eid}")
         ends = e.get("ends")
-        _require(isinstance(ends, list) and len(ends) == 2, where, "ends must list two vertex ids")
+        _require(isinstance(ends, list) and len(ends) == 2
+                 and all(type(end) is int for end in ends),
+                 where, "ends must list two integer vertex ids")
         for end in ends:
             _require(end in index, where, f"unknown vertex id {end}")
         edge_ids[eid] = i
@@ -126,37 +131,13 @@ def parse(doc) -> Diagram:
         raise ParseError(str(exc)) from None
 
 
-# -- other object kinds ----------------------------------------------------------
+# -- documents enumerate writes --------------------------------------------------
 
 
-def chord_doc(c: ch.ChordDiagram) -> dict:
-    return {"d": c.d, "pairing": list(c.pairing)}
-
-
-def parse_chord(doc) -> ch.ChordDiagram:
-    """Read a chord document: the diagram of an enumerate --space chord line."""
-    doc = _load(doc)
-    _require(isinstance(doc, dict) and isinstance(doc.get("pairing"), list),
-             "document", "expected an object with a pairing list")
-    try:
-        return ch.ChordDiagram(tuple(doc["pairing"]))
-    except Exception as exc:
-        raise ParseError(str(exc)) from None
+def chord_doc(key: bytes) -> dict:
+    return {"d": key[1], "pairing": list(key[2:])}
 
 
 def bounded_doc(B: bnd.BoundedDiagram) -> dict:
     return {"k": B.k, "graph": serialize(B.graph),
             "order": [list(seg) for seg in B.order]}
-
-
-def parse_bounded(doc) -> bnd.BoundedDiagram:
-    """Read a bounded document: the diagram of an enumerate --space bounded
-    line."""
-    doc = _load(doc)
-    for field in ("k", "graph", "order"):
-        _require(isinstance(doc, dict) and field in doc, "document", f"missing field {field!r}")
-    graph = parse(doc["graph"])
-    try:
-        return bnd.BoundedDiagram(doc["k"], graph, tuple(tuple(seg) for seg in doc["order"]))
-    except Exception as exc:
-        raise ParseError(str(exc)) from None

@@ -52,8 +52,8 @@ def _make_primitive(vec) -> int:
 
 
 class SparseRationalMatrix:
-    """Relator rows over a fixed basis.  rank and in_span run only the
-    untracked elimination and build no relator combinations; the first
+    """Relator rows over a fixed basis.  rank, residual and in_span run only
+    the untracked elimination and build no relator combinations; the first
     membership call builds the pivot expressions, once."""
 
     def __init__(self, columns):
@@ -191,11 +191,21 @@ class SparseRationalMatrix:
     def rank(self) -> int:
         return len(self._eliminate())
 
+    def residual(self, target: LinComb) -> LinComb:
+        """The untracked reduction of target, exact: zero when target lies in
+        the row span, and the same for two targets whose difference does."""
+        vec, m = self._to_cols(target)
+        # a sentinel column past the basis holds m: every step scales it and
+        # no pivot reaches it, so vec ends as sentinel * residual
+        sentinel = len(self.columns)
+        vec[sentinel] = m
+        self._reduce(vec, self._eliminate())
+        s = vec.pop(sentinel)
+        return LinComb({self.columns[c]: Fraction(x, s) for c, x in vec.items()})
+
     def in_span(self, target: LinComb) -> bool:
         """Whether target lies in the row span, without a certificate."""
-        vec, _ = self._to_cols(target)
-        self._reduce(vec, self._eliminate())
-        return not vec
+        return self.residual(target).is_zero()
 
     def membership(self, target: LinComb) -> MembershipCertificate:
         """Reduce target against the row span; zero residual means member.

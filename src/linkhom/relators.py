@@ -176,49 +176,39 @@ def ihx_relators(basis) -> list:
 # -- STU and the bounded link relation ----------------------------------------
 
 
-def stu_relator(B: bnd.BoundedDiagram, s: int, p: int, key: bytes, trees=None) -> Relator:
-    """S - T + U at adjacent leg positions p, p+1 on segment s.  B is the
-    representative of the bounded key, so T is key with sign +1; U has B's
-    graph, and S is built only when it is not boring.  trees is
-    _trees(B.graph) when the caller has it."""
-    terms = {key: -1}
-    sk = bnd.bounded_key(bnd.swap_adjacent_legs(B, s, p))
-    _add(terms, sk.key, sk.sign)
-    seg = B.order[s - 1]
-    tree_of, masks = trees or _trees(B.graph)
-    if _interesting_graft(masks, tree_of[seg[p]], tree_of[seg[p + 1]], s):
-        sk = bnd.bounded_key(bnd.graft_adjacent_legs(B, s, p))
-        _add(terms, sk.key, sk.sign)
-    return Relator(f"stu:{key.hex()}:{s}:{p}", _element(terms))
-
-
 def stu_relators(basis) -> list:
+    """S - T + U at adjacent leg positions p, p+1 on each segment s of each
+    basis key.  B is the key's representative, so T is the key with sign +1;
+    U has B's graph, and S is built only when it is not boring."""
     out = []
     for key in basis:
         B = bnd.bounded_from_key(key)
-        trees = _trees(B.graph)
-        for s in range(1, B.k + 1):
-            for p in range(len(B.order[s - 1]) - 1):
-                out.append(stu_relator(B, s, p, key, trees))
+        tree_of, masks = _trees(B.graph)
+        for s, seg in enumerate(B.order, start=1):
+            for p in range(len(seg) - 1):
+                terms = {key: -1}
+                sk = bnd.bounded_key(bnd.swap_adjacent_legs(B, s, p))
+                _add(terms, sk.key, sk.sign)
+                if _interesting_graft(masks, tree_of[seg[p]], tree_of[seg[p + 1]], s):
+                    sk = bnd.bounded_key(bnd.graft_adjacent_legs(B, s, p))
+                    _add(terms, sk.key, sk.sign)
+                out.append(Relator(f"stu:{key.hex()}:{s}:{p}", _element(terms)))
     return out
 
 
-def link1_relator(B: bnd.BoundedDiagram, s: int, key: bytes) -> Relator:
-    """Cycling the top leg of segment s to the bottom minus the original; key
-    and B as for stu_relator."""
-    terms = {key: -1}
-    sk = bnd.bounded_key(bnd.cycle_segment(B, s))
-    _add(terms, sk.key, sk.sign)
-    return Relator(f"link1:{key.hex()}:{s}", _element(terms))
-
-
 def link1_relators(basis) -> list:
+    """Cycling the top leg of segment s to the bottom minus the original, at
+    each segment with legs of each basis key; the original is the key, with
+    sign +1, as for stu_relators."""
     out = []
     for key in basis:
         B = bnd.bounded_from_key(key)
-        for s in range(1, B.k + 1):
-            if B.order[s - 1]:
-                out.append(link1_relator(B, s, key))
+        for s, seg in enumerate(B.order, start=1):
+            if seg:
+                terms = {key: -1}
+                sk = bnd.bounded_key(bnd.cycle_segment(B, s))
+                _add(terms, sk.key, sk.sign)
+                out.append(Relator(f"link1:{key.hex()}:{s}", _element(terms)))
     return out
 
 

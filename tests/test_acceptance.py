@@ -26,7 +26,7 @@ from pathlib import Path
 
 from linkhom.bases import enum_forests
 from linkhom.bounded import enum_bounded
-from linkhom.chords import chord_from_key, connect_sum, enum_chord, inject_chord
+from linkhom.chords import connect_sum, enum_chord
 from linkhom.diagrams import (
     canonical_diagram,
     canonicalize,
@@ -299,11 +299,10 @@ def test_a6_hopf_compatibility_and_cut_independence():
             m = spans[d1 + d2]
             for a in enum_chord(d1):
                 for b in enum_chord(d2):
-                    c1, c2 = chord_from_key(a), chord_from_key(b)
-                    base = inject_chord(connect_sum(c1, c2, 0, 0))
+                    base = LinComb.term(connect_sum(a, b, 0, 0))
                     for a1 in range(2 * d1):
                         for a2 in range(2 * d2):
-                            diff = base - inject_chord(connect_sum(c1, c2, a1, a2))
+                            diff = base - LinComb.term(connect_sum(a, b, a1, a2))
                             if not diff.is_zero() and not m.in_span(diff):
                                 cut_ok = False
                     cut_checked += 1

@@ -19,12 +19,17 @@ Core claims:
     - verify --certs rejects an unusable directory before it verifies
     - check-cert proves bhl certificates only and needs the space field
     - a target key or diagram document that encodes no valid diagram is a
-      one-line error, exit 4 for check-cert and 5 for reduce and chi
+      one-line error, exit 4 for check-cert and 5 for reduce and chi; a
+      diagram document's message names the field, and an integer field
+      that holds true, 1.0, an array or an object is such a document
     - JSON nested past the decoder's depth and diagrams too large to key
       exit 5 with one line, not a traceback
     - chi checks the ahl budget at the input's degree; reduce and chi take
       -k >= 1 and lk takes --fuzz >= 0, or exit 2 before reading the input
-    - hopf-check counts the pairs it checks, pinned at three settings
+    - hopf-check counts the pairs it checks, pinned at four settings; at
+      --chord-degree 4 it compares chord classes modulo 4T and passes
+    - enumerate --space chord at d = 4, 5 and the hopf-check text at
+      --chord-degree 3 are pinned by SHA-256 digest
     - hopf-check checks its budget before any work: the chord side at
       --chord-degree + 1, the forest side at --forest-k, --forest-degree
 """
@@ -351,6 +356,22 @@ def test_certificate_and_dim_bytes_are_pinned(tmp_path):
     assert digest.hexdigest() == PINNED_DIMS
 
 
+PINNED_CHORD_OUTPUTS = {
+    "enumerate-chord-4": (("enumerate", "--space", "chord", "-d", "4"),
+                          "5f887848e5af1a4cbda8f6b1233a4cc1b3b2babf96d6b092d972b079f007d834"),
+    "enumerate-chord-5": (("enumerate", "--space", "chord", "-d", "5"),
+                          "bb881e722c36d6eeb234e0fdb5e7f805fa0e8e761ea54eddf39754d93b0d7e2c"),
+    "hopf-check-chord-3-text": (("hopf-check", "--chord-degree", "3"),
+                                "cf01c29e157b69cdd59a8aea04ae434bf408aa0c81a340bbac4771d83ebd8524"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHORD_OUTPUTS))
+def test_chord_output_bytes_are_pinned(name):
+    argv, want = PINNED_CHORD_OUTPUTS[name]
+    assert hashlib.sha256(_main_stdout(*argv).encode()).hexdigest() == want
+
+
 # -- Certificates round trip -----------------------------------------------------------
 
 def test_verify_then_check_cert(tmp_path):
@@ -396,7 +417,10 @@ def test_hopf_check_small():
      '{"chord_pairs":22,"connect_sum_pairs":19,"forest_pairs":51,"ok":true}\n'),
     (["--chord-degree", "3", "--forest-k", "4", "--forest-degree", "4"],
      '{"chord_pairs":22,"connect_sum_pairs":19,"forest_pairs":1957,"ok":true}\n'),
-], ids=["defaults", "chord-3", "chord-3-forest-4-4"])
+    # products and coproducts agree only modulo 4T from degree 5 on
+    (["--chord-degree", "4", "--budget-d", "5"],
+     '{"chord_pairs":72,"connect_sum_pairs":75,"forest_pairs":51,"ok":true}\n'),
+], ids=["defaults", "chord-3", "chord-3-forest-4-4", "chord-4-budget-5"])
 def test_hopf_check_counts(argv, out):
     assert _run("--json", "hopf-check", *argv) == out
 
@@ -544,25 +568,56 @@ def test_check_cert_invalid_target_key(tmp_path, cert_k3_d2, name):
         linkhom.canonical_diagram(key)
 
 
+def _no_leg_component(doc):
+    doc["vertices"] = [{"id": 0, "kind": "tri"}, {"id": 1, "kind": "tri"},
+                       {"id": 2, "kind": "uni", "color": 1},
+                       {"id": 3, "kind": "uni", "color": 2}]
+    doc["edges"] = [{"id": i, "ends": [0, 1]} for i in range(3)]
+    doc["edges"].append({"id": 3, "ends": [2, 3]})
+
+
+def _set(*path):
+    """A change of the tripod document that sets the field at this path."""
+    *where, field, value = path
+
+    def change(doc):
+        for step in where:
+            doc = doc[step]
+        doc[field] = value
+    return change
+
+
+# (change of the tripod document, what the one-line message must name); an
+# integer field takes a JSON integer only, never true or 1.0
+INVALID_DOCUMENTS = {
+    "missing-vertex": (_set("edges", 2, "ends", [3, 9]), "unknown vertex id 9"),
+    "leg-two-edges": (_set("edges", 2, "ends", [3, 0]), "valence 2"),
+    "no-leg-component": (_no_leg_component, "parse error: "),
+    "end-array": (_set("edges", 2, "ends", [3, [2]]), "ends"),
+    "end-object": (_set("edges", 2, "ends", [3, {"id": 2}]), "ends"),
+    "end-float": (_set("edges", 2, "ends", [3, 2.0]), "ends"),
+    "end-true": (_set("edges", 1, "ends", [3, True]), "ends"),
+    "k-true": (_set("k", True), "k: "),
+    "color-true": (_set("vertices", 0, "color", True), "color"),
+    "vertex-id-true": (_set("vertices", 1, "id", True), "id must be an integer"),
+    "edge-id-true": (_set("edges", 1, "id", True), "id must be an integer"),
+    "rotation-true": (_set("vertices", 3, "rotation", [0, True, 2]), "rotation"),
+    "vertices-object": (_set("vertices", {}), "vertices: "),
+    "edges-object": (_set("edges", {}), "edges: "),
+}
+
+
 @pytest.mark.parametrize("command", ["reduce", "chi"])
-@pytest.mark.parametrize("name", ["missing-vertex", "leg-two-edges", "no-leg-component"])
+@pytest.mark.parametrize("name", sorted(INVALID_DOCUMENTS))
 def test_invalid_diagram_document_is_5(tmp_path, command, name):
     doc = json.loads(json.dumps(TRIPOD_DOC))
-    if name == "missing-vertex":
-        doc["edges"][2]["ends"] = [3, 9]
-    elif name == "leg-two-edges":
-        doc["edges"][2]["ends"] = [3, 0]
-    else:
-        doc["vertices"] = [{"id": 0, "kind": "tri"}, {"id": 1, "kind": "tri"},
-                           {"id": 2, "kind": "uni", "color": 1},
-                           {"id": 3, "kind": "uni", "color": 2}]
-        doc["edges"] = [{"id": i, "ends": [0, 1]} for i in range(3)]
-        doc["edges"].append({"id": 3, "ends": [2, 3]})
+    change, named = INVALID_DOCUMENTS[name]
+    change(doc)
     path = tmp_path / "diagram.json"
     path.write_text(json.dumps(doc))
     err = _proc(command, "--input", str(path), "-k", "3", expect=5).stderr
     assert err.startswith("parse error: ") and err.count("\n") == 1, err
-    assert "Traceback" not in err, err
+    assert "Traceback" not in err and named in err, err
 
 
 def test_check_cert_over_budget_is_3(tmp_path, cert_k3_d2):

@@ -6,12 +6,14 @@ Core claims:
     - certificates replay: sum(coeff * relator) + residual == target
     - rank is invariant under row shuffles
     - duplicate or unknown basis keys are rejected
-    - rank and in_span, which track no combinations, leave membership
-      certificates unchanged, agree with them, and build no pivot
+    - rank, residual and in_span, which track no combinations, leave
+      membership certificates unchanged, agree with them, and build no pivot
       expressions
-    - the integer kernel gives the same rank, in_span answers and whole
-      certificates as the rational elimination it replaced (kept below as an
-      oracle), on non-integral rows, fractional targets and shuffled orders
+    - the integer kernel gives the same rank, in_span answers, residuals and
+      whole certificates as the rational elimination it replaced (kept below
+      as an oracle), on non-integral rows, fractional targets and shuffled
+      orders; a residual is the same for two targets whose difference lies
+      in the span
 """
 
 import heapq
@@ -177,11 +179,14 @@ def test_integer_kernel_matches_rational_oracle(seed):
         assert m.rank() == len(oracle.pivots)
         for t in targets:
             assert m.in_span(t) == oracle.in_span(t)
+            assert m.residual(t) == oracle.membership(t).residual
             assert m.membership(t) == oracle.membership(t)
+            assert m.residual(t + targets[-1]) == m.residual(t)
         rng.shuffle(relators)
 
 
 def test_rank_and_in_span_build_no_expressions():
+    # residual is the untracked reduction in_span reads, so it builds none either
     rng = random.Random(5)
     keys = _keys(6)
     rows = [r for r in _random_rows(rng, 9, 6) if r]
@@ -190,6 +195,7 @@ def test_rank_and_in_span_build_no_expressions():
     assert m.rank() > 0
     assert m.in_span(_lincomb(keys, rows[0]))
     m.in_span(_lincomb(keys, {0: Fraction(1, 3), 5: 2}))
+    assert m.residual(_lincomb(keys, rows[0])).is_zero()
     assert m._exprs is None
     m.membership(_lincomb(keys, rows[0]))
     assert m._exprs is not None

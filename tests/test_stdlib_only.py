@@ -1,8 +1,12 @@
-"""The library imports nothing outside the standard library.
+"""The library imports nothing outside the standard library, and nothing it
+does not use.
 
-Core claim:
+Core claims:
     - every import in src/linkhom/*.py names a standard-library module,
       linkhom itself, or a relative module
+    - no module but __init__.py, whose imports are re-exports, imports a name
+      it never uses
+    - every name in linkhom.__all__ resolves
 """
 
 import ast
@@ -34,3 +38,31 @@ def test_library_imports_only_the_standard_library():
         if name not in allowed
     }
     assert not outside, f"non-stdlib imports: {sorted(outside)}"
+
+
+def _imported_names(tree):
+    """The names a module's imports bind, __future__ features aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.update(f"{path.name}: {name}" for name in _imported_names(tree)
+                      if name not in used)
+    assert not unused, f"imported and never used: {sorted(unused)}"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in linkhom.__all__ if not hasattr(linkhom, name)]
+    assert not missing, f"__all__ names nothing for {missing}"
