@@ -3,13 +3,16 @@
 A degree-d chord diagram is a perfect matching on 2d circle points; two
 diagrams are equal when a rotation carries one matching to the other.  The
 circle is oriented and never reflected.  A diagram is its key, the least
-rotation of its pairing (pairing_key): every operation here takes keys and
-returns keys, and key[2:] is the pairing, key[1] the degree.
+rotation of its pairing, made as bytes (pairing_key): every operation here
+takes keys and returns keys, and key[2:] is the pairing, key[1] the degree.
 """
 
 from __future__ import annotations
 
+from operator import eq
+
 _TAG_CHORD = 0x43
+_ROTATIONS = {}     # n -> the translate tables taking x to (x - r) % n, one per r
 
 
 def pairing_key(p) -> bytes:
@@ -18,18 +21,18 @@ def pairing_key(p) -> bytes:
 
     The rotation that starts at point r begins with the forward gap
     (p[r] - r) % n, so only rotations starting at a point of least gap can be
-    least; those are compared as plain tuples.
+    least.  Each is built as bytes by one slice and one translate, and bytes
+    order as the tuples of their points do.
     """
-    n = len(p)
-    best = ()
+    b = bytes(p)
+    n = len(b)
     if n:
-        gaps = [(j - i) % n for i, j in enumerate(p)]
+        if (tables := _ROTATIONS.get(n)) is None:
+            tables = _ROTATIONS[n] = [bytes((x - r) % n for x in range(256)) for r in range(n)]
+        gaps = [(j - i) % n for i, j in enumerate(b)]
         low = min(gaps)
-        best = min(
-            tuple((p[(i + r) % n] - r) % n for i in range(n))
-            for r in range(n) if gaps[r] == low
-        )
-    return bytes([_TAG_CHORD, n // 2, *best])
+        b = min((b[r:] + b[:r]).translate(tables[r]) for r, g in enumerate(gaps) if g == low)
+    return bytes((_TAG_CHORD, n // 2)) + b
 
 
 def enum_chord(d: int) -> list:
@@ -60,7 +63,13 @@ def has_isolated_chord(pairing) -> bool:
     """Whether a chord joins two neighboring points; pairing may be a key's
     key[2:]."""
     n = len(pairing)
-    return any(pairing[i] == (i + 1) % n for i in range(n))
+    return n > 0 and (pairing[0] == n - 1 or any(map(eq, pairing, range(1, n))))
+
+
+def crossings(key: bytes) -> int:
+    """The number of crossing chord pairs of the diagram with this key."""
+    p = key[2:]
+    return sum(not i < p[x] < j for i, j in enumerate(p) if i < j for x in range(i + 1, j)) // 2
 
 
 # -- surgeries ------------------------------------------------------------

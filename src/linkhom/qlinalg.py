@@ -1,13 +1,14 @@
 """Exact elimination with membership certificates, on integer rows.
 
-Rows are sparse integer vectors over a fixed, sorted column basis of
-canonical keys; a relator with integer coefficients enters as it is, one
-with rational coefficients as the integer multiple that clears its
-denominators.  Elimination is fraction-free and
-deterministic: rows are processed in input order, a reduction step at column
-col is vec <- a*vec - b*pvec with a = lead/g, b = vec[col]/g and
+Rows are sparse integer vectors over a fixed column order of canonical
+keys; a relator with integer coefficients enters as it is, one with
+rational coefficients as the integer multiple that clears its
+denominators.  Elimination is fraction-free and deterministic: rows are
+processed in input order, a reduction step at column col is
+vec <- a*vec - b*pvec with a = lead/g, b = vec[col]/g and
 g = gcd(vec[col], lead), and a row that survives becomes a pivot after
-division by the gcd of its entries, with its lead made positive.  Every step
+division by the gcd of its entries, with its lead made positive; a row's
+lead is its first column in that order.  Every step
 is a nonzero multiple of the rational step against a pivot scaled to lead 1,
 so the pivots, residuals and certificates equal those of rational
 elimination.  Fractions appear only at the boundary: certificate coefficients
@@ -52,8 +53,8 @@ def _make_primitive(vec) -> int:
 
 
 class SparseRationalMatrix:
-    """Relator rows over a fixed basis.  rank, residual and in_span run only
-    the untracked elimination and build no relator combinations; the first
+    """Relator rows over a fixed basis.  rank and residual run only the
+    untracked elimination and build no relator combinations; the first
     membership call builds the pivot expressions, once."""
 
     def __init__(self, columns):
@@ -202,10 +203,6 @@ class SparseRationalMatrix:
         self._reduce(vec, self._eliminate())
         s = vec.pop(sentinel)
         return LinComb({self.columns[c]: Fraction(x, s) for c, x in vec.items()})
-
-    def in_span(self, target: LinComb) -> bool:
-        """Whether target lies in the row span, without a certificate."""
-        return self.residual(target).is_zero()
 
     def membership(self, target: LinComb) -> MembershipCertificate:
         """Reduce target against the row span; zero residual means member.

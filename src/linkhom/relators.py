@@ -7,7 +7,7 @@ across runs; elements may be zero (kept in the list, dropped when building
 matrices).  Coefficients are the ints +-1 (summed where terms meet).  The
 terms are built from parts known to be valid: derived diagrams skip
 re-validation, a graft known to be boring is not built, and the base term
-of IHX, STU and link1 is the basis key itself, with sign +1.
+of IHX, STU, link1 and 4T is the basis key itself, with sign +1.
 
 Star and IHX relators work on the trees of the basis key, each canonical
 with sign +1 (diagrams.split_trees).  A graft changes two trees and an
@@ -25,6 +25,7 @@ leg) everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import bounded as bnd
 from . import chords as ch
@@ -222,6 +223,29 @@ def one_t_relators(basis) -> list:
             for key in basis if ch.has_isolated_chord(key[2:])]
 
 
+_PLACEMENTS = {}    # (n, p, pos) -> (gather, relabel table) of one 4T placement
+
+
+def _four_t_placements(pairing, p: int) -> list:
+    """Unkeyed (pairing, sign) of the after-q, before-r and after-r placements
+    of the 4T relation at p, each one gather of the points in their new order
+    and one translate to the new labels; before q is the pairing itself."""
+    n = len(pairing)
+    q = (p + 1) % n
+    if pairing[p] == q:
+        raise DiagramError("endpoints belong to one chord")
+    i, j = q - (q > p), pairing[q] - (pairing[q] > p)
+    out = []
+    for pos, sign in ((i + 1, -1), (j, 1), (j + 1, -1)):
+        if (made := _PLACEMENTS.get((n, p, pos))) is None:
+            order = [x for x in range(n) if x != p]
+            order.insert(pos, p)
+            relabel = bytes(map(order.index, range(n))).ljust(256, b"\0")
+            made = _PLACEMENTS[n, p, pos] = (itemgetter(*order), relabel)
+        out.append((bytes(made[0](pairing)).translate(made[1]), sign))
+    return out
+
+
 def four_t_relator(key: bytes, p: int) -> Relator:
     """Four-term relation at the adjacent endpoint pair (p, p+1) of the chord
     diagram with this canonical key.
@@ -230,31 +254,30 @@ def four_t_relator(key: bytes, p: int) -> Relator:
     across its far end r, and the four placements cancel:
     (before q) - (after q) + (before r) - (after r) = 0.
     """
-    pairing = key[2:]
-    n = len(pairing)
-    q = (p + 1) % n
-    if pairing[p] == q:
-        raise DiagramError("endpoints belong to one chord")
-    rest = [x for x in range(n) if x != p]      # the circle without p
-    terms = []
-    for anchor in (q, pairing[q]):
-        i = anchor - (anchor > p)
-        for pos, sign in ((i, 1), (i + 1, -1)):
-            order = rest[:pos] + [p] + rest[pos:]
-            at = [0] * n
-            for j, x in enumerate(order):
-                at[x] = j
-            terms.append((ch.pairing_key(tuple(at[pairing[x]] for x in order)), sign))
+    terms = [(key, 1)] + [(ch.pairing_key(raw), sign)
+                          for raw, sign in _four_t_placements(key[2:], p)]
     return Relator(f"4t:{key.hex()}:{p}", LinComb(terms))
 
 
 def four_t_relators(basis) -> list:
     """Four-term relators at every endpoint not on an isolated chord; basis
     is a list of chord keys."""
-    out = []
+    return [four_t_relator(key, p) for key in basis for p in range(len(key) - 2)
+            if key[2 + p] != (p + 1) % (len(key) - 2)]
+
+
+def four_t_relators_mod_1t(basis):
+    """The relators of four_t_relators, one at a time, modulo 1T: a term
+    whose pairing has an isolated chord is dropped before it is keyed, as
+    rotation keeps that property.  Elements may be zero."""
     for key in basis:
         pairing = key[2:]
         n = len(pairing)
-        out.extend(four_t_relator(key, p) for p in range(n) if pairing[p] != (p + 1) % n)
-    return out
-
+        base = {} if ch.has_isolated_chord(pairing) else {key: 1}
+        for p in range(n):
+            if pairing[p] != (p + 1) % n:
+                terms = dict(base)
+                for raw, sign in _four_t_placements(pairing, p):
+                    if not ch.has_isolated_chord(raw):
+                        _add(terms, ch.pairing_key(raw), sign)
+                yield Relator(f"4t:{key.hex()}:{p}", _element(terms))

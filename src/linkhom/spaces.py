@@ -19,6 +19,10 @@ and likewise for the basis size, each relator count and the rank.
 dim_space computes those min(k, 2d) + 1 blocks only, each in the k-color
 cell's own keys; d = 0 is the m = 0 block, the empty forest.  The main
 triviality verification still eliminates over the whole cell.
+
+A chord diagram with an isolated chord is a 1T relator by itself, so the
+chord rank is the number of those keys plus the rank of the 4T relators
+modulo 1T, over the other keys with the ones of more crossings first.
 """
 
 from __future__ import annotations
@@ -114,8 +118,6 @@ def _relators_for(space: str, basis):
         return {"stu": rel.stu_relators(basis)}
     if space == "ahl":
         return {"stu": rel.stu_relators(basis), "link1": rel.link1_relators(basis)}
-    if space == "chord":
-        return {"1t": rel.one_t_relators(basis), "4t": rel.four_t_relators(basis)}
     raise ValueError(f"unknown space {space!r}")
 
 
@@ -146,16 +148,9 @@ def block_matrix(space: str, k, d: int, support=None):
 def dim_block(space: str, k, d: int, support=None) -> SpaceReport:
     """The report of one block of the (k, d) cell, as block_matrix takes it."""
     matrix, keys, groups = block_matrix(space, k, d, support)
-    report = SpaceReport(
-        space=space,
-        k=None if space == "chord" else k,
-        d=d,
-        basis_size=len(keys),
-        relator_counts={name: len(rs) for name, rs in groups.items()},
-        rank=matrix.rank(),
-    )
-    report.dim = report.basis_size - report.rank
-    return report
+    rank = matrix.rank()
+    return SpaceReport(space, k, d, len(keys), {name: len(rs) for name, rs in groups.items()},
+                       rank, len(keys) - rank)
 
 
 def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
@@ -166,7 +161,7 @@ def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
         raise ValueError(f"unknown space {space!r}")
     check_budget(space, k, d, budget)
     if space == "chord":
-        return dim_block(space, k, d)
+        return _dim_chord(d)
     report = SpaceReport(space=space, k=k, d=d, basis_size=0)
     for m in range(min(k, 2 * d) + 1):
         block, mult = dim_block(space, k, d, m), comb(k, m)
@@ -176,6 +171,25 @@ def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
             report.relator_counts[name] = report.relator_counts.get(name, 0) + mult * count
     report.dim = report.basis_size - report.rank
     return report
+
+
+def _dim_chord(d: int) -> SpaceReport:
+    """The chord cell on the 1T quotient, as the module docstring says; a
+    row equal to an earlier one up to sign reduces to zero, so it is left
+    out, and the 4t count is still every relator."""
+    keys = ch.enum_chord(d)
+    columns = sorted((key for key in keys if not ch.has_isolated_chord(key[2:])),
+                     key=lambda key: (-ch.crossings(key), key))
+    rows, seen, count = [], set(), 0
+    for r in rel.four_t_relators_mod_1t(keys):
+        count += 1
+        if r.element and r.element not in seen:
+            seen.update((r.element, -r.element))
+            rows.append(r)
+    one_t = len(keys) - len(columns)
+    rank = one_t + relator_matrix(columns, rows).rank()
+    return SpaceReport("chord", None, d, len(keys), {"1t": one_t, "4t": count}, rank,
+                       len(keys) - rank)
 
 
 # -- main triviality verification ---------------------------------------------

@@ -28,8 +28,9 @@ Core claims:
       -k >= 1 and lk takes --fuzz >= 0, or exit 2 before reading the input
     - hopf-check counts the pairs it checks, pinned at four settings; at
       --chord-degree 4 it compares chord classes modulo 4T and passes
-    - enumerate --space chord at d = 4, 5 and the hopf-check text at
-      --chord-degree 3 are pinned by SHA-256 digest
+    - enumerate --space chord at d = 4, 5, the hopf-check text at
+      --chord-degree 3 and dim --json --space chord at d = 0..6 are pinned
+      by SHA-256 digest, and the dim --json line of chord 7 in full
     - hopf-check checks its budget before any work: the chord side at
       --chord-degree + 1, the forest side at --forest-k, --forest-degree
 """
@@ -366,10 +367,27 @@ PINNED_CHORD_OUTPUTS = {
 }
 
 
+# the concatenated dim --json output of the chord cells d = 0..6
+PINNED_CHORD_DIMS = "973044c42fccff081678a07221c3b33d8415a978a9fa24544c69070453c23735"
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_CHORD_OUTPUTS))
 def test_chord_output_bytes_are_pinned(name):
     argv, want = PINNED_CHORD_OUTPUTS[name]
     assert hashlib.sha256(_main_stdout(*argv).encode()).hexdigest() == want
+
+
+def test_chord_dim_bytes_are_pinned():
+    out = "".join(_main_stdout("--json", "dim", "--space", "chord", "-d", str(d), "--budget-d", "6")
+                  for d in range(7))
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CHORD_DIMS
+
+
+def test_chord_7_dim_line():
+    # about 4 s: the one chord cell past the benchmark's
+    assert _main_stdout("--json", "dim", "--space", "chord", "-d", "7", "--budget-d", "7") == (
+        '{"basis":9749,"d":7,"dim":14,"k":null,"rank":9735,'
+        '"relators":{"1t":6531,"4t":126004},"space":"chord"}\n')
 
 
 # -- Certificates round trip -----------------------------------------------------------

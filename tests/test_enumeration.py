@@ -6,7 +6,9 @@ Core claims:
     - the chord basis is the sorted list of least-rotation keys of
       brute-force matchings, and each key's pairing keys to the key again
     - the pruned chord key equals the least pairing over all rotations and
-      is invariant under rotation
+      is invariant under rotation; built as bytes, it equals the tuple-built
+      key it replaced (kept here as an oracle) on every matching up to
+      d = 5, on the empty pairing, and on list, tuple and bytes input
     - every enumerated basis key rebuilds to a non-boring diagram whose key
       it is, with sign +1
     - split_trees inverts join_trees on every enumerated forest up to
@@ -85,6 +87,19 @@ def rotate(p, r):
     """The pairing p read from circle point r on."""
     n = len(p)
     return tuple((p[(i + r) % n] - r) % n for i in range(n))
+
+
+def tuple_pairing_key(p) -> bytes:
+    """The tuple-built chord key that pairing_key replaced, kept as its
+    oracle: the least rotation among those starting at a point of least
+    forward gap, each built as a tuple."""
+    n = len(p)
+    best = ()
+    if n:
+        gaps = [(j - i) % n for i, j in enumerate(p)]
+        low = min(gaps)
+        best = min(rotate(p, r) for r in range(n) if gaps[r] == low)
+    return bytes([0x43, n // 2, *best])
 
 
 def _chord_keys_oracle(d):
@@ -231,6 +246,21 @@ def test_chord_basis_is_the_sorted_least_rotation_keys(d):
     assert keys == _chord_keys_oracle(d)
     for key in keys:
         assert pairing_key(key[2:]) == key
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_pairing_key_matches_the_tuple_oracle_on_every_matching(d):
+    for m in _matchings(tuple(range(2 * d))):
+        pairing = [0] * (2 * d)
+        for a, b in m:
+            pairing[a], pairing[b] = b, a
+        want = tuple_pairing_key(pairing)
+        assert pairing_key(pairing) == pairing_key(tuple(pairing)) == want
+        assert pairing_key(bytes(pairing)) == want
+
+
+def test_pairing_key_of_the_empty_pairing():
+    assert pairing_key(()) == pairing_key([]) == tuple_pairing_key(()) == bytes([0x43, 0])
 
 
 def test_chord_keys_distinct_and_stable():

@@ -6,10 +6,10 @@ Core claims:
     - certificates replay: sum(coeff * relator) + residual == target
     - rank is invariant under row shuffles
     - duplicate or unknown basis keys are rejected
-    - rank, residual and in_span, which track no combinations, leave
-      membership certificates unchanged, agree with them, and build no pivot
+    - rank and residual, which track no combinations, leave membership
+      certificates unchanged, agree with them, and build no pivot
       expressions
-    - the integer kernel gives the same rank, in_span answers, residuals and
+    - the integer kernel gives the same rank, span answers, residuals and
       whole certificates as the rational elimination it replaced (kept below
       as an oracle), on non-integral rows, fractional targets and shuffled
       orders; a residual is the same for two targets whose difference lies
@@ -178,7 +178,7 @@ def test_integer_kernel_matches_rational_oracle(seed):
         m = relator_matrix(keys, relators)
         assert m.rank() == len(oracle.pivots)
         for t in targets:
-            assert m.in_span(t) == oracle.in_span(t)
+            assert m.residual(t).is_zero() == oracle.in_span(t)
             assert m.residual(t) == oracle.membership(t).residual
             assert m.membership(t) == oracle.membership(t)
             assert m.residual(t + targets[-1]) == m.residual(t)
@@ -186,15 +186,15 @@ def test_integer_kernel_matches_rational_oracle(seed):
 
 
 def test_rank_and_in_span_build_no_expressions():
-    # residual is the untracked reduction in_span reads, so it builds none either
+    # residual is the untracked reduction, so it builds none either
     rng = random.Random(5)
     keys = _keys(6)
     rows = [r for r in _random_rows(rng, 9, 6) if r]
     m = relator_matrix(keys, [Relator(f"r{i}", _lincomb(keys, row))
                               for i, row in enumerate(rows)])
     assert m.rank() > 0
-    assert m.in_span(_lincomb(keys, rows[0]))
-    m.in_span(_lincomb(keys, {0: Fraction(1, 3), 5: 2}))
+    assert m.residual(_lincomb(keys, rows[0])).is_zero()
+    m.residual(_lincomb(keys, {0: Fraction(1, 3), 5: 2}))
     assert m.residual(_lincomb(keys, rows[0])).is_zero()
     assert m._exprs is None
     m.membership(_lincomb(keys, rows[0]))
@@ -316,8 +316,8 @@ def test_rank_skips_dependent_row():
     m.add_row(_lincomb(keys, {1: 1, 2: -1}), "r1")
     m.add_row(_lincomb(keys, {0: 1, 2: -1}), "r2")   # dependent
     assert m.rank() == 2
-    assert m.in_span(_lincomb(keys, {0: 1, 2: -1}))
-    assert not m.in_span(_lincomb(keys, {3: 1}))
+    assert m.residual(_lincomb(keys, {0: 1, 2: -1})).is_zero()
+    assert not m.residual(_lincomb(keys, {3: 1})).is_zero()
 
 
 # -- Untracked queries ---------------------------------------------------------------
@@ -348,7 +348,7 @@ def test_untracked_queries_leave_certificates_unchanged(seed):
     for t in targets:
         cert = ranked.membership(t)
         assert cert == fresh.membership(t)
-        assert ranked.in_span(t) == cert.is_member
+        assert ranked.residual(t).is_zero() == cert.is_member
         assert verify_certificate(cert, by_id)
 
 

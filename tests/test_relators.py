@@ -14,6 +14,10 @@ Core claims:
       two-dimensional space a Lyndon count predicts
     - 4T relators at degree 2 vanish identically and never exceed 4 terms;
       one degree-3 relator is checked term by term against a hand computation
+    - 4T relators, placed by one gather and one translate, equal the
+      point-by-point oracle kept here at every key and endpoint up to d = 5,
+      whose first term is the key with sign +1; modulo 1T they are the same
+      relators with the keys that have an isolated chord dropped
     - 1T relators are supported on diagrams with an isolated chord
     - STU and link1 relators stay inside their degree's bounded basis
     - count_segments, the oracle for spaces.reduce_to_monomials, counts
@@ -49,6 +53,7 @@ from linkhom.relators import (
     _with_rotations,
     four_t_relator,
     four_t_relators,
+    four_t_relators_mod_1t,
     ihx_relators,
     link1_relators,
     one_t_relators,
@@ -57,6 +62,7 @@ from linkhom.relators import (
 )
 from linkhom.spaces import relator_by_id
 from test_diagrams import disjoint_union
+from test_enumeration import tuple_pairing_key
 
 
 # -- Whole-forest oracle -------------------------------------------------------
@@ -306,6 +312,55 @@ def test_4t_relator_by_hand_at_degree_3():
             + LinComb.term(before_r) - LinComb.term(after_r))
     assert r.element == want
     assert sorted(coeff for _, coeff in r.element.items()) == [-2, 1, 1]
+
+
+def four_t_terms_oracle(key, p):
+    """The unmerged (key, sign) terms of the 4T relation at p, as
+    four_t_relator built them before it gathered and translated bytes: every
+    placement of p rebuilt point by point and keyed by the tuple oracle."""
+    pairing = key[2:]
+    n = len(pairing)
+    q = (p + 1) % n
+    if pairing[p] == q:
+        raise DiagramError("endpoints belong to one chord")
+    rest = [x for x in range(n) if x != p]      # the circle without p
+    terms = []
+    for anchor in (q, pairing[q]):
+        i = anchor - (anchor > p)
+        for pos, sign in ((i, 1), (i + 1, -1)):
+            order = rest[:pos] + [p] + rest[pos:]
+            at = [0] * n
+            for j, x in enumerate(order):
+                at[x] = j
+            terms.append((tuple_pairing_key(tuple(at[pairing[x]] for x in order)), sign))
+    return terms
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_4t_relators_match_the_oracle(d):
+    for key in enum_chord(d):
+        for p in range(2 * d):
+            if key[2 + p] == (p + 1) % (2 * d):     # p and p+1 are one chord
+                with pytest.raises(DiagramError):
+                    four_t_terms_oracle(key, p)
+                with pytest.raises(DiagramError):
+                    four_t_relator(key, p)
+                continue
+            terms = four_t_terms_oracle(key, p)
+            # the before-q placement is the key itself, so it is not keyed
+            assert terms[0] == (key, 1)
+            assert four_t_relator(key, p) == Relator(f"4t:{key.hex()}:{p}", LinComb(terms))
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_4t_relators_mod_1t_drop_the_1t_keys(d):
+    basis = enum_chord(d)
+    full = four_t_relators(basis)
+    quotient = list(four_t_relators_mod_1t(basis))
+    assert [r.rid for r in quotient] == [r.rid for r in full]
+    for r, q in zip(full, quotient):
+        assert q.element == LinComb((key, c) for key, c in r.element.items()
+                                    if not has_isolated_chord(key[2:]))
 
 
 def test_1t_relators_mark_isolated_chords():

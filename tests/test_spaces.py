@@ -5,7 +5,10 @@ Core claims:
       C(C(k,2)+d-1, d) cell by cell
     - string-link dims match the symmetric-algebra reference values
     - bounded-side dims agree with forest-side dims where both are in budget
-    - knot chord dims modulo 1T+4T are 0, 1, 1, 3, 4 at d = 1..5
+    - knot chord dims modulo 1T+4T are 0, 1, 1, 3, 4, 9 at d = 1..6
+    - the chord report, taken on the 1T quotient with crossings-first
+      columns and repeated rows left out, equals the whole-cell report of
+      every 1T and 4T relator over the sorted keys at d = 0..6
     - chi kills boring diagrams and averages legs with uniform weights
     - chi carries IHX relators into the STU span and star relators into
       the STU+link1 span
@@ -41,7 +44,8 @@ from linkhom.diagrams import (
 from linkhom.errors import BudgetError, DiagramError, VerificationError
 from linkhom.lincomb import LinComb
 from linkhom.qlinalg import relator_matrix, verify_certificate
-from linkhom.relators import ihx_relators, link1_relators, star_relators, stu_relators
+from linkhom.relators import (four_t_relators, ihx_relators, link1_relators, one_t_relators,
+                              star_relators, stu_relators)
 from linkhom.bases import enum_forests
 from linkhom.bounded import enum_bounded
 from linkhom.spaces import (
@@ -80,11 +84,15 @@ def relator_table(k: int, d: int) -> dict:
     return {r.rid: r.element for r in oracle_relators(space_basis("bhl", k, d))}
 
 
-def whole_cell_doc(space: str, k: int, d: int) -> dict:
+def whole_cell_doc(space: str, k, d: int) -> dict:
     """dim --json of a cell by the whole-cell pipeline: every basis element,
-    every relator, one matrix.  The oracle for the support-block sum."""
+    every relator, one matrix over the sorted keys.  The oracle for the
+    support-block sum, and for chord for the 1T quotient."""
     keys = space_basis(space, k, d)
-    groups = _relators_for(space, keys)
+    if space == "chord":
+        groups = {"1t": one_t_relators(keys), "4t": four_t_relators(keys)}
+    else:
+        groups = _relators_for(space, keys)
     rank = relator_matrix(keys, [r for rs in groups.values() for r in rs]).rank()
     return {"space": space, "k": k, "d": d, "basis": len(keys),
             "relators": {name: len(rs) for name, rs in sorted(groups.items())},
@@ -139,6 +147,11 @@ def test_block_sum_matches_the_whole_cell(space, k, d):
     assert dim_space(space, k, d).to_doc() == whole_cell_doc(space, k, d)
 
 
+@pytest.mark.parametrize("d", range(7))
+def test_chord_quotient_matches_the_whole_cell(d):
+    assert dim_space("chord", None, d, budget=(None, 6)).to_doc() == whole_cell_doc("chord", None, d)
+
+
 def test_full_support_multigraph_values():
     assert [full_support_multigraphs(m, 3) for m in range(7)] == [0, 0, 1, 7, 22, 30, 15]
     assert [full_support_multigraphs(m, 0) for m in range(3)] == [1, 0, 0]
@@ -157,9 +170,9 @@ def test_support_block_dim_counts_multigraphs(space, m, d):
     assert block.dim == want, f"{space} block on colors 1..{m}, d={d}: dim {block.dim}, want {want}"
 
 
-@pytest.mark.parametrize("d,dim", [(1, 0), (2, 1), (3, 1), (4, 3), (5, 4)])
+@pytest.mark.parametrize("d,dim", [(1, 0), (2, 1), (3, 1), (4, 3), (5, 4), (6, 9)])
 def test_knot_chord_dims(d, dim):
-    assert dim_space("chord", None, d).dim == dim
+    assert dim_space("chord", None, d, budget=(None, 6)).dim == dim
 
 
 def test_space_report_doc_shape():
