@@ -38,24 +38,32 @@ def pairing_key(p) -> bytes:
 def enum_chord(d: int) -> list:
     """Sorted canonical keys of all degree-d chord diagrams.
 
-    The recursion fills one pairing in place and meets only perfect
-    matchings, so each is keyed at once, without building a diagram."""
+    A key, the least rotation of its pairing, starts at a point of least
+    forward gap (pairing_key), so it joins point 0 to some j <= d and its
+    other chords have both gaps, (b - a) % n and (a - b) % n, at least j.
+    The recursion fills one pairing in place over such pairings only and
+    keeps each that is its own key: every class once, none missed."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    found = set()
-    pairing = [0] * (2 * d)
+    n = 2 * d
+    found = []
+    pairing = [0] * n
 
-    def matchings(points):
+    def matchings(points, low):
         if not points:
-            found.add(pairing_key(pairing))
+            b = bytes(pairing)
+            if (key := pairing_key(b))[2:] == b:
+                found.append(key)
             return
         a = points[0]
         for idx in range(1, len(points)):
             b = points[idx]
-            pairing[a], pairing[b] = b, a
-            matchings(points[1:idx] + points[idx + 1:])
+            gap = low or b      # point 0's partner sets the least gap
+            if gap <= b - a <= n - gap:
+                pairing[a], pairing[b] = b, a
+                matchings(points[1:idx] + points[idx + 1:], gap)
 
-    matchings(tuple(range(2 * d)))
+    matchings(tuple(range(n)), 0)
     return sorted(found)
 
 

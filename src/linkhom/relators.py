@@ -259,25 +259,40 @@ def four_t_relator(key: bytes, p: int) -> Relator:
     return Relator(f"4t:{key.hex()}:{p}", LinComb(terms))
 
 
+def _four_t_rows(basis, mod_1t: bool):
+    """The relators of four_t_relators, or with mod_1t of
+    four_t_relators_mod_1t, one at a time."""
+    own, keyed = {key: key for key in basis}, {}
+    for key in basis:
+        pairing = key[2:]
+        n = len(pairing)
+        base = {} if mod_1t and ch.has_isolated_chord(pairing) else {key: 1}
+        for p in range(n):
+            if pairing[p] != (p + 1) % n:
+                terms = dict(base)
+                for raw, sign in _four_t_placements(pairing, p):
+                    if (made := keyed.get(raw, False)) is False:
+                        made = keyed[raw] = None if mod_1t and ch.has_isolated_chord(raw) else (
+                            own.setdefault(k := ch.pairing_key(raw), k))
+                    if made is not None:
+                        _add(terms, made, sign)
+                yield Relator(f"4t:{key.hex()}:{p}", _element(terms))
+
+
 def four_t_relators(basis) -> list:
-    """Four-term relators at every endpoint not on an isolated chord; basis
-    is a list of chord keys."""
-    return [four_t_relator(key, p) for key in basis for p in range(len(key) - 2)
-            if key[2 + p] != (p + 1) % (len(key) - 2)]
+    """Four-term relators at every endpoint not on an isolated chord, those
+    of four_t_relator, keyed as in four_t_relators_mod_1t; basis is a list
+    of chord keys."""
+    return list(_four_t_rows(basis, False))
 
 
 def four_t_relators_mod_1t(basis):
     """The relators of four_t_relators, one at a time, modulo 1T: a term
     whose pairing has an isolated chord is dropped before it is keyed, as
-    rotation keeps that property.  Elements may be zero."""
-    for key in basis:
-        pairing = key[2:]
-        n = len(pairing)
-        base = {} if ch.has_isolated_chord(pairing) else {key: 1}
-        for p in range(n):
-            if pairing[p] != (p + 1) % n:
-                terms = dict(base)
-                for raw, sign in _four_t_placements(pairing, p):
-                    if not ch.has_isolated_chord(raw):
-                        _add(terms, ch.pairing_key(raw), sign)
-                yield Relator(f"4t:{key.hex()}:{p}", _element(terms))
+    rotation keeps that property.  Elements may be zero.
+
+    Placements recur across keys and endpoints (at d = 6, the 10635 kept
+    ones are 1942 distinct pairings), so a dict dropped on return keys each
+    raw placement once: to the basis's own key object, which the rows then
+    share, or to None when it is dropped."""
+    return _four_t_rows(basis, True)

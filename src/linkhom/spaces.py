@@ -139,10 +139,15 @@ def block_matrix(space: str, k, d: int, support=None):
     """(relator matrix, basis keys, relators by kind) of one block of the
     (k, d) cell: with support=m the part on colors exactly 1..m, else the
     whole cell.  relator_matrix raises ValueError should a relator leave the
-    block."""
+    block.  The bounded columns are the keys of fewer internal vertices
+    first (the inner key's colors, 0 when internal, start at key[6], its
+    vertex count is key[4]), which leaves the rank and fills far fewer pivot
+    entries; the others are the sorted keys."""
     keys = space_basis(space, k, d, support)
     groups = _relators_for(space, keys)
-    return relator_matrix(keys, [r for rs in groups.values() for r in rs]), keys, groups
+    bounded = space in ("ahsl", "ahl")
+    columns = sorted(keys, key=lambda key: key[6:6 + key[4]].count(0)) if bounded else keys
+    return relator_matrix(columns, [r for rs in groups.values() for r in rs]), keys, groups
 
 
 def dim_block(space: str, k, d: int, support=None) -> SpaceReport:

@@ -51,6 +51,7 @@ from hypothesis import given, settings, strategies as st
 import linkhom
 from linkhom import cli
 from linkhom.bases import enum_forests
+from linkhom.chords import enum_chord, pairing_key
 from linkhom.interchange import serialize
 from linkhom.lincomb import terms_doc
 from test_diagrams import caterpillar
@@ -364,7 +365,18 @@ PINNED_CHORD_OUTPUTS = {
                           "bb881e722c36d6eeb234e0fdb5e7f805fa0e8e761ea54eddf39754d93b0d7e2c"),
     "hopf-check-chord-3-text": (("hopf-check", "--chord-degree", "3"),
                                 "cf01c29e157b69cdd59a8aea04ae434bf408aa0c81a340bbac4771d83ebd8524"),
+    "enumerate-chord-6": (("enumerate", "--space", "chord", "-d", "6", "--budget-d", "6"),
+                          "f9a2dc32a34a72e3cfb96ca32b9fb099f72edb1dce82327964ec3bfeb5bb05e9"),
+    "hopf-check-chord-5-json": (("--json", "hopf-check", "--chord-degree", "5", "--forest-k", "3",
+                                 "--forest-degree", "3", "--budget-d", "6"),
+                                "30a80d377a71bdac7ad5c6167371272fe4688fc5ddde152c3232263b466fb057"),
 }
+
+
+# the concatenated dim --json output of ahsl, then ahl, at k = 1..5 with
+# d = 0..3 and then at k = 4, d = 4: a change of the bounded column order
+# must not move a byte
+PINNED_BOUNDED_DIMS = "686e82af283131d9cb23600f1cf9d76733a0a5c6336b6f7b5d8cbdba1a3f8aaf"
 
 
 # the concatenated dim --json output of the chord cells d = 0..6
@@ -381,6 +393,21 @@ def test_chord_dim_bytes_are_pinned():
     out = "".join(_main_stdout("--json", "dim", "--space", "chord", "-d", str(d), "--budget-d", "6")
                   for d in range(7))
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CHORD_DIMS
+
+
+def test_bounded_dim_bytes_are_pinned():
+    cells = [(k, d) for k in range(1, 6) for d in range(4)] + [(4, 4)]
+    out = "".join(_main_stdout("--json", "dim", "--space", space, "-k", str(k), "-d", str(d))
+                  for space in ("ahsl", "ahl") for k, d in cells)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_BOUNDED_DIMS
+
+
+def test_chord_7_keys():
+    # A007769: chord diagrams with 7 chords up to rotation
+    keys = enum_chord(7)
+    assert len(keys) == 9749
+    assert keys == sorted(set(keys))
+    assert all(pairing_key(key[2:]) == key for key in keys)
 
 
 def test_chord_7_dim_line():

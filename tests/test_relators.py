@@ -363,6 +363,23 @@ def test_4t_relators_mod_1t_drop_the_1t_keys(d):
                                     if not has_isolated_chord(key[2:]))
 
 
+@pytest.mark.parametrize("d", range(7))
+def test_4t_relators_mod_1t_match_the_oracle(d):
+    want = []
+    for key in enum_chord(d):
+        for p in range(2 * d):
+            if key[2 + p] != (p + 1) % (2 * d):
+                terms = [(k, c) for k, c in four_t_terms_oracle(key, p)
+                         if not has_isolated_chord(k[2:])]
+                want.append(Relator(f"4t:{key.hex()}:{p}", LinComb(terms)))
+    basis = enum_chord(d)
+    got = list(four_t_relators_mod_1t(basis))
+    assert got == want
+    # every term is the basis's own key object, not a fresh copy
+    own = {id(key) for key in basis}
+    assert all(id(key) in own for r in got for key in r.element.keys())
+
+
 def test_1t_relators_mark_isolated_chords():
     basis = enum_chord(3)
     marked = {key for key in basis if has_isolated_chord(key[2:])}
