@@ -14,8 +14,10 @@ so the pivots, residuals and certificates equal those of rational
 elimination.  Fractions appear only at the boundary: certificate coefficients
 and the residual.
 
-Pivot expressions in the relators are built on the first membership call, by
-replaying the pivot rows in creation order against the pivots made before
+Each row is reduced as it is added, and only a row that makes a pivot is
+kept, so a stream of relators costs the memory of its pivots.  Pivot
+expressions in the relators are built on the first membership call, by
+replaying the kept rows in creation order against the pivots made before
 each; membership reductions then come with replayable certificates that a
 plain summation can re-check without touching the eliminator.
 """
@@ -53,9 +55,10 @@ def _make_primitive(vec) -> int:
 
 
 class SparseRationalMatrix:
-    """Relator rows over a fixed basis.  rank and residual run only the
-    untracked elimination and build no relator combinations; the first
-    membership call builds the pivot expressions, once."""
+    """Relator rows over a fixed basis, each reduced on arrival against the
+    pivots made so far; rows is only those that made a pivot.  rank and
+    residual build no relator combinations; the first membership call
+    builds the pivot expressions, once."""
 
     def __init__(self, columns):
         self.columns = tuple(columns)
@@ -63,11 +66,7 @@ class SparseRationalMatrix:
         if len(self._col_index) != len(self.columns):
             raise ValueError("duplicate basis keys")
         self.rows = []          # (rid, {col: int}, m) with the int row = m * relator
-        self._reset()
-
-    def _reset(self):
-        self._pivots = None     # lead col -> primitive int row with positive lead
-        self._pivot_rows = None  # index into rows of each pivot, in creation order
+        self._pivots = {}       # lead col -> primitive int row with positive lead
         self._exprs = None      # lead col -> (den, {rid: int}), den * pivot = sum(c * relator)
 
     def _to_cols(self, element: LinComb):
@@ -86,15 +85,28 @@ class SparseRationalMatrix:
         return {col: c.numerator * (m // c.denominator) for col, c in vec.items()}, m
 
     def add_row(self, element: LinComb, rid=None):
+        """Reduce element against the pivots; keep it when a pivot is left."""
         if rid is None:
             rid = f"row{len(self.rows)}"
-        self.rows.append((rid, *self._to_cols(element)))
-        self._reset()
+        row, m = self._to_cols(element)
+        vec = dict(row)
+        self._reduce(vec, self._pivots)
+        self._exprs = None
+        if vec:
+            _make_primitive(vec)
+            lead = min(vec)
+            assert lead not in self._pivots, "reduced row must lead a fresh column"
+            self._pivots[lead] = vec
+            self.rows.append((rid, row, m))
 
-    def add_relators(self, relators):
+    def add_relators(self, relators) -> int:
+        """Add each nonzero relator element; return how many relators came."""
+        count = 0
         for rel in relators:
+            count += 1
             if not rel.element.is_zero():
                 self.add_row(rel.element, rel.rid)
+        return count
 
     @staticmethod
     def _reduce(vec, pivots, exprs=None, combo=None) -> int:
@@ -153,33 +165,18 @@ class SparseRationalMatrix:
         return den
 
     def _eliminate(self):
-        """The untracked pass: the pivot map, keyed by lead column."""
-        if self._pivots is not None:
-            return self._pivots
-        pivots, pivot_rows = {}, []
-        for i, (_, row, _) in enumerate(self.rows):
-            vec = dict(row)
-            self._reduce(vec, pivots)
-            if not vec:
-                continue
-            _make_primitive(vec)
-            lead = min(vec)
-            assert lead not in pivots, "reduced row must lead a fresh column"
-            pivots[lead] = vec
-            pivot_rows.append(i)
-        self._pivots, self._pivot_rows = pivots, pivot_rows
-        return pivots
+        """The pivot map, keyed by lead column."""
+        return self._pivots
 
     def _expressions(self):
-        """Pivot expressions in the relators.  Each pivot row is replayed,
-        in creation order, against the pivots made before it, which are the
-        ones the untracked pass saw, so the same steps recur."""
+        """Pivot expressions in the relators.  Each kept row is replayed, in
+        creation order, against the pivots made before it, which are the
+        ones it was reduced against, so the same steps recur."""
         if self._exprs is not None:
             return self._exprs
         pivots = self._eliminate()
         made, exprs = {}, {}
-        for i in self._pivot_rows:
-            rid, row, m = self.rows[i]
+        for rid, row, m in self.rows:
             vec, combo = dict(row), {rid: m}
             den = self._reduce(vec, made, exprs, combo) * _make_primitive(vec)
             lead = min(vec)
@@ -222,7 +219,8 @@ class SparseRationalMatrix:
 
 
 def relator_matrix(basis_keys, relators) -> SparseRationalMatrix:
-    """Matrix over the given keys, zero relator elements dropped."""
+    """Matrix over the given keys with the relators added in order; a row
+    that reduces to zero is not kept."""
     m = SparseRationalMatrix(basis_keys)
     m.add_relators(relators)
     return m

@@ -3,11 +3,13 @@
 Every relator is a linear combination of canonical keys together with a
 stable id.  Relators are generated from canonical basis representatives and
 each id carries the hex key of its basis element, so ids are reproducible
-across runs; elements may be zero (kept in the list, dropped when building
-matrices).  Coefficients are the ints +-1 (summed where terms meet).  The
-terms are built from parts known to be valid: derived diagrams skip
-re-validation, a graft known to be boring is not built, and the base term
-of IHX, STU, link1 and 4T is the basis key itself, with sign +1.
+across runs; elements may be zero (still generated and counted, dropped
+when building matrices).  All but the 1T and full 4T lists are yielded one
+at a time, so a caller that counts and reduces them keeps none.
+Coefficients are the ints +-1 (summed where terms meet).  The terms are
+built from parts known to be valid: derived diagrams skip re-validation, a
+graft known to be boring is not built, and the base term of IHX, STU, link1
+and 4T is the basis key itself, with sign +1.
 
 Star and IHX relators work on the trees of the basis key, each canonical
 with sign +1 (diagrams.split_trees).  A graft changes two trees and an
@@ -24,8 +26,8 @@ leg) everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import bounded as bnd
 from . import chords as ch
@@ -35,8 +37,7 @@ from .errors import DiagramError
 from .lincomb import LinComb
 
 
-@dataclass(frozen=True)
-class Relator:
+class Relator(NamedTuple):
     rid: str
     element: LinComb
 
@@ -92,12 +93,12 @@ def _graft(k, a, b, u: int, w: int):
     return tree_body(sk.key), sk.sign
 
 
-def star_relators(basis) -> list:
+def star_relators(basis):
     """The link relation at each leg u of each basis forest, in leg order:
     the grafts of u onto every other leg of its color sum to zero.  A graft
     of two trees sharing a color besides u's is boring, 0 and not built, so
     a leg whose color no other leg has gets the zero element at once."""
-    out, grafts = [], {}
+    grafts = {}
     for key in basis:
         k, name, trees = key[1], key.hex(), split_trees(key)
         bodies = [body for _, body in trees]
@@ -121,8 +122,7 @@ def star_relators(basis) -> list:
                         rest = [body for t, body in enumerate(bodies) if t != a and t != b]
                         forest = joined[u, w] = join_trees(k, rest + [made[0]])
                     _add(terms, forest, made[1])
-            out.append(Relator(f"star:{name}:{u}", _element(terms)))
-    return out
+            yield Relator(f"star:{name}:{u}", _element(terms))
 
 
 def _rotate_to_front(rot, h):
@@ -151,10 +151,10 @@ def _exchange(k, body, e: int) -> list:
     return [(tree_body(sk.key), sk.sign) for sk in sks]
 
 
-def ihx_relators(basis) -> list:
+def ihx_relators(basis):
     """I - H + X at each internal edge of each basis forest, in edge order.
     I is the forest, with sign +1; H and X are never boring."""
-    out, moves = [], {}
+    moves = {}
     for key in basis:
         k, trees = key[1], split_trees(key)
         bodies = [body for _, body in trees]
@@ -170,18 +170,16 @@ def ihx_relators(basis) -> list:
                 for (tree, sign), c in zip(made, (-1, 1)):
                     _add(terms, join_trees(k, rest + [tree]), c * sign)
                 # a tree's edges follow the edges of the trees before it
-                out.append(Relator(f"ihx:{key.hex()}:{off - t + e}", _element(terms)))
-    return out
+                yield Relator(f"ihx:{key.hex()}:{off - t + e}", _element(terms))
 
 
 # -- STU and the bounded link relation ----------------------------------------
 
 
-def stu_relators(basis) -> list:
+def stu_relators(basis):
     """S - T + U at adjacent leg positions p, p+1 on each segment s of each
     basis key.  B is the key's representative, so T is the key with sign +1;
     U has B's graph, and S is built only when it is not boring."""
-    out = []
     for key in basis:
         B = bnd.bounded_from_key(key)
         tree_of, masks = _trees(B.graph)
@@ -193,15 +191,13 @@ def stu_relators(basis) -> list:
                 if _interesting_graft(masks, tree_of[seg[p]], tree_of[seg[p + 1]], s):
                     sk = bnd.bounded_key(bnd.graft_adjacent_legs(B, s, p))
                     _add(terms, sk.key, sk.sign)
-                out.append(Relator(f"stu:{key.hex()}:{s}:{p}", _element(terms)))
-    return out
+                yield Relator(f"stu:{key.hex()}:{s}:{p}", _element(terms))
 
 
-def link1_relators(basis) -> list:
+def link1_relators(basis):
     """Cycling the top leg of segment s to the bottom minus the original, at
     each segment with legs of each basis key; the original is the key, with
     sign +1, as for stu_relators."""
-    out = []
     for key in basis:
         B = bnd.bounded_from_key(key)
         for s, seg in enumerate(B.order, start=1):
@@ -209,8 +205,7 @@ def link1_relators(basis) -> list:
                 terms = {key: -1}
                 sk = bnd.bounded_key(bnd.cycle_segment(B, s))
                 _add(terms, sk.key, sk.sign)
-                out.append(Relator(f"link1:{key.hex()}:{s}", _element(terms)))
-    return out
+                yield Relator(f"link1:{key.hex()}:{s}", _element(terms))
 
 
 # -- chord relations ----------------------------------------------------------
@@ -246,19 +241,6 @@ def _four_t_placements(pairing, p: int) -> list:
     return out
 
 
-def four_t_relator(key: bytes, p: int) -> Relator:
-    """Four-term relation at the adjacent endpoint pair (p, p+1) of the chord
-    diagram with this canonical key.
-
-    The endpoint at p hops across the near end q = p+1 of the other chord and
-    across its far end r, and the four placements cancel:
-    (before q) - (after q) + (before r) - (after r) = 0.
-    """
-    terms = [(key, 1)] + [(ch.pairing_key(raw), sign)
-                          for raw, sign in _four_t_placements(key[2:], p)]
-    return Relator(f"4t:{key.hex()}:{p}", LinComb(terms))
-
-
 def _four_t_rows(basis, mod_1t: bool):
     """The relators of four_t_relators, or with mod_1t of
     four_t_relators_mod_1t, one at a time."""
@@ -280,9 +262,11 @@ def _four_t_rows(basis, mod_1t: bool):
 
 
 def four_t_relators(basis) -> list:
-    """Four-term relators at every endpoint not on an isolated chord, those
-    of four_t_relator, keyed as in four_t_relators_mod_1t; basis is a list
-    of chord keys."""
+    """Four-term relators at every adjacent endpoint pair (p, p+1) that is
+    not one chord, keyed as in four_t_relators_mod_1t; basis is a list of
+    chord keys.  The endpoint at p hops across the near end q = p+1 of the
+    other chord and across its far end r, and the four placements cancel:
+    (before q) - (after q) + (before r) - (after r) = 0."""
     return list(_four_t_rows(basis, False))
 
 

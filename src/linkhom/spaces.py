@@ -39,7 +39,7 @@ from .bases import enum_forests
 from .diagrams import KEY_BYTE_MAX, Diagram, canonical_diagram, canonicalize, is_boring, representative
 from .errors import BudgetError, DiagramError, UsageError, VerificationError
 from .lincomb import LinComb
-from .qlinalg import MembershipCertificate, relator_matrix, verify_certificate
+from .qlinalg import MembershipCertificate, SparseRationalMatrix, relator_matrix, verify_certificate
 
 SPACES = ("bhsl", "bhl", "ahsl", "ahl", "chord")
 
@@ -136,26 +136,28 @@ def space_basis(space: str, k, d: int, support=None) -> list:
 
 
 def block_matrix(space: str, k, d: int, support=None):
-    """(relator matrix, basis keys, relators by kind) of one block of the
-    (k, d) cell: with support=m the part on colors exactly 1..m, else the
-    whole cell.  relator_matrix raises ValueError should a relator leave the
-    block.  The bounded columns are the keys of fewer internal vertices
-    first (the inner key's colors, 0 when internal, start at key[6], its
-    vertex count is key[4]), which leaves the rank and fills far fewer pivot
-    entries; the others are the sorted keys."""
+    """(relator matrix, basis keys, relator count by kind) of one block of
+    the (k, d) cell: with support=m the part on colors exactly 1..m, else
+    the whole cell.  Each kind is counted as its relators are reduced, and
+    the matrix keeps only the rows that make pivots; it raises ValueError
+    should a relator leave the block.  The bounded columns are the keys of
+    fewer internal vertices first (the inner key's colors, 0 when internal,
+    start at key[6], its vertex count is key[4]), which leaves the rank and
+    fills far fewer pivot entries; the others are the sorted keys."""
     keys = space_basis(space, k, d, support)
-    groups = _relators_for(space, keys)
     bounded = space in ("ahsl", "ahl")
     columns = sorted(keys, key=lambda key: key[6:6 + key[4]].count(0)) if bounded else keys
-    return relator_matrix(columns, [r for rs in groups.values() for r in rs]), keys, groups
+    matrix = SparseRationalMatrix(columns)
+    counts = {name: matrix.add_relators(rs) for name, rs in _relators_for(space, keys).items()}
+    return matrix, keys, counts
 
 
 def dim_block(space: str, k, d: int, support=None) -> SpaceReport:
-    """The report of one block of the (k, d) cell, as block_matrix takes it."""
-    matrix, keys, groups = block_matrix(space, k, d, support)
+    """The report of one block of the (k, d) cell, as block_matrix takes it:
+    the relators are counted and reduced, and none is kept."""
+    matrix, keys, counts = block_matrix(space, k, d, support)
     rank = matrix.rank()
-    return SpaceReport(space, k, d, len(keys), {name: len(rs) for name, rs in groups.items()},
-                       rank, len(keys) - rank)
+    return SpaceReport(space, k, d, len(keys), counts, rank, len(keys) - rank)
 
 
 def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
@@ -214,8 +216,7 @@ def verify_main_theorem(k: int, max_degree: int, budget=None) -> list:
     check_budget("bhl", k, max_degree, budget)
     certs = []
     for d in range(1, max_degree + 1):
-        # the relators are dropped: the matrix holds what membership needs
-        matrix, basis = block_matrix("bhl", k, d)[:2]
+        matrix, basis, _ = block_matrix("bhl", k, d)
         for key in basis:
             if not is_compound(key):
                 continue

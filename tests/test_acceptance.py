@@ -222,7 +222,7 @@ def test_a5_bounded_side_descends():
     )
     ihx_total, ihx_in_span = 0, 0
     for k, d in cells:
-        relators = ihx_relators(enum_forests(k, d))
+        relators = list(ihx_relators(enum_forests(k, d)))
         ihx_total += len(relators)
         if relators:
             basis = enum_bounded(k, d)
@@ -234,7 +234,7 @@ def test_a5_bounded_side_descends():
     # IHX is live as well
     basis43 = enum_bounded(4, 3)
     m43 = relator_matrix(basis43, stu_relators(basis43))
-    live = ihx_relators(enum_forests(4, 3))
+    live = list(ihx_relators(enum_forests(4, 3)))
     live_ok = all(
         m43.membership(chi_lincomb(r.element, 4)).is_member for r in live
     )

@@ -80,7 +80,7 @@ def test_bounded_round_trip():
 
 
 def test_relator_doc_shape():
-    r = star_relators(enum_forests(3, 2))[0]
+    r = list(star_relators(enum_forests(3, 2)))[0]
     doc = relator_doc(r)
     assert doc["id"] == r.rid
     assert isinstance(doc["element"], list)

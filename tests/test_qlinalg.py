@@ -14,6 +14,7 @@ Core claims:
       as an oracle), on non-integral rows, fractional targets and shuffled
       orders; a residual is the same for two targets whose difference lies
       in the span
+    - a matrix keeps only the rows that made a pivot
 """
 
 import heapq
@@ -177,6 +178,8 @@ def test_integer_kernel_matches_rational_oracle(seed):
         oracle = _RationalOracle(keys, relators)
         m = relator_matrix(keys, relators)
         assert m.rank() == len(oracle.pivots)
+        # only the rows that made a pivot are kept
+        assert len(m.rows) == m.rank()
         for t in targets:
             assert m.residual(t).is_zero() == oracle.in_span(t)
             assert m.residual(t) == oracle.membership(t).residual

@@ -47,11 +47,11 @@ from linkhom.lincomb import LinComb
 from linkhom.qlinalg import relator_matrix
 from linkhom.relators import (
     Relator,
+    _four_t_placements,
     _interesting_graft,
     _rotate_to_front,
     _trees,
     _with_rotations,
-    four_t_relator,
     four_t_relators,
     four_t_relators_mod_1t,
     ihx_relators,
@@ -243,7 +243,7 @@ ORACLE_CELLS = [(5, 3, None), (4, 4, None), (5, 4, None), (6, 4, 6)]
 @pytest.mark.parametrize("k, d, m", ORACLE_CELLS, ids=["5/3", "4/4", "5/4", "f(6,4)"])
 def test_star_and_ihx_relators_match_the_whole_forest_oracle(k, d, m):
     basis = enum_forests(k, d, m)
-    got = star_relators(basis) + ihx_relators(basis)
+    got = list(star_relators(basis)) + list(ihx_relators(basis))
     want = oracle_relators(basis)
     assert [r.rid for r in got] == [r.rid for r in want]
     for r, w in zip(got, want):
@@ -256,7 +256,7 @@ def test_star_and_ihx_relators_match_the_whole_forest_oracle(k, d, m):
 
 def test_ihx_rank_on_four_leaf_trees():
     basis = enum_forests(4, 3)
-    relators = ihx_relators(basis)
+    relators = list(ihx_relators(basis))
     assert len(relators) == 3
     m = relator_matrix(basis, relators)
     assert m.rank() == 1
@@ -265,8 +265,8 @@ def test_ihx_rank_on_four_leaf_trees():
 
 
 def test_ihx_vacuous_without_internal_edges():
-    assert ihx_relators(enum_forests(3, 3)) == []
-    assert ihx_relators(enum_forests(2, 2)) == []
+    assert list(ihx_relators(enum_forests(3, 3))) == []
+    assert list(ihx_relators(enum_forests(2, 2))) == []
 
 
 # -- Chord relators ---------------------------------------------------------------------
@@ -293,6 +293,15 @@ def _chords(*pairs):
     for a, b in pairs:
         pairing[a], pairing[b] = b, a
     return pairing_key(pairing)
+
+
+def four_t_relator(key: bytes, p: int) -> Relator:
+    """Four-term relation at the adjacent endpoint pair (p, p+1) of the chord
+    diagram with this canonical key, one relator by itself: the key with
+    sign +1, then each placement keyed."""
+    terms = [(key, 1)] + [(pairing_key(raw), sign)
+                          for raw, sign in _four_t_placements(key[2:], p)]
+    return Relator(f"4t:{key.hex()}:{p}", LinComb(terms))
 
 
 def test_4t_relator_by_hand_at_degree_3():
@@ -397,14 +406,14 @@ def test_1t_relators_mark_isolated_chords():
 def test_stu_and_link1_stay_in_basis(k, d):
     basis = enum_bounded(k, d)
     keys = set(basis)
-    for r in stu_relators(basis) + link1_relators(basis):
+    for r in list(stu_relators(basis)) + list(link1_relators(basis)):
         for key, _ in r.element.items():
             assert key in keys
 
 
 def test_stu_relators_nonempty():
-    assert len(stu_relators(enum_bounded(2, 2))) > 0
-    assert len(link1_relators(enum_bounded(2, 2))) > 0
+    assert len(list(stu_relators(enum_bounded(2, 2)))) > 0
+    assert len(list(link1_relators(enum_bounded(2, 2)))) > 0
 
 
 # -- Segment counting ---------------------------------------------------------------------------
