@@ -6,7 +6,7 @@ resulting dimension and triviality statements.
 """
 
 from .bases import enum_forests, trees_on_colors
-from .bounded import BoundedDiagram, enum_bounded
+from .bounded import enum_bounded
 from .chords import enum_chord
 from .diagrams import (
     Diagram,
@@ -56,7 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     # bases, bounded, chords
     "enum_forests", "trees_on_colors",
-    "BoundedDiagram", "enum_bounded",
+    "enum_bounded",
     "enum_chord",
     # diagrams
     "Diagram", "SignedCanonicalKey", "build", "canonical_diagram", "canonicalize",

@@ -79,8 +79,7 @@ def _cmd_enumerate(args) -> int:
         keys, doc = (enum_forests(args.k, args.d),
                      lambda key: interchange.serialize(canonical_diagram(key)))
     else:
-        keys, doc = (bnd.enum_bounded(args.k, args.d),
-                     lambda key: interchange.bounded_doc(bnd.bounded_from_key(key)))
+        keys, doc = bnd.enum_bounded(args.k, args.d), interchange.bounded_doc
     lines = [_dump({"key": key.hex(), "diagram": doc(key)}) for key in keys]
     print("\n".join(lines) if lines else "", end="\n" if lines else "")
     return EXIT_OK

@@ -13,15 +13,16 @@ its edge twice.  When the rotation is omitted the incident edges are taken in
 ascending id order.  Every integer field is a JSON integer: true and 1.0 are
 rejected.  parse/serialize round-trip up to isomorphism: the parsed diagram
 has the same canonical key.  parse is the one reader, for reduce and chi; no
-command reads the chord and bounded documents that enumerate writes.
+command reads the chord and bounded documents that enumerate writes.  Those
+are written from keys alone: bounded_doc reads the graph and each segment's
+leg order off the slot colors of a bounded key.
 """
 
 from __future__ import annotations
 
 import json
 
-from . import bounded as bnd
-from .diagrams import Diagram, build
+from .diagrams import Diagram, build, representative
 from .errors import ParseError
 
 
@@ -138,6 +139,14 @@ def chord_doc(key: bytes) -> dict:
     return {"d": key[1], "pairing": list(key[2:])}
 
 
-def bounded_doc(B: bnd.BoundedDiagram) -> dict:
-    return {"k": B.k, "graph": serialize(B.graph),
-            "order": [list(seg) for seg in B.order]}
+def bounded_doc(key: bytes) -> dict:
+    """The graph of a bounded key this library made, its legs colored by
+    segment, and each segment's legs top to bottom: slot color p*k + s is
+    position p of segment s."""
+    k, inner = key[1], representative(key[2:])
+    colors, order = list(inner.colors), [[] for _ in range(k)]
+    for c, v in sorted((c, v) for v, c in enumerate(inner.colors) if c):
+        colors[v] = (c - 1) % k + 1
+        order[colors[v] - 1].append(v)
+    graph = Diagram._assemble(k, tuple(colors), inner.incidence)
+    return {"k": k, "graph": serialize(graph), "order": order}

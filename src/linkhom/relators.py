@@ -11,17 +11,21 @@ built from parts known to be valid: derived diagrams skip re-validation, a
 graft known to be boring is not built, and the base term of IHX, STU, link1
 and 4T is the basis key itself, with sign +1.
 
-Star and IHX relators work on the trees of the basis key, each canonical
-with sign +1 (diagrams.split_trees).  A graft changes two trees and an
-exchange one, so a term keys the changed tree alone and joins it to the
-untouched trees with its sign; each call keys a tree pair and leg pair, or
-a tree and edge, once, in a dict it drops on return.
+All four relations on forests work on the trees of the basis key, each
+canonical with sign +1 (diagrams.split_trees).  A graft changes two trees
+and an exchange one, so a term keys the changed trees alone and joins them
+to the untouched trees with the product of their signs; each call keys a
+tree pair and leg pair, or a tree and edge, once, in a dict it drops on
+return.  A bounded key's legs carry slot colors p*k + s (bounded.py), and
+an STU or link1 term is one byte translate of them: a swap moves two trees,
+a graft the trees with a leg at or below the pair, a cycle every tree with
+a leg on the segment, and only those are keyed again.
 
 Sign conventions: IHX is I - H + X with both rotations normalized to start
 with the internal edge (the exchange pattern follows the Jacobi identity);
 STU is S - T + U with S the grafted term and T the original leg order; the
 grafted vertex rotation is (stem of the first leg, stem of the second, new
-leg) everywhere.
+leg) everywhere, and in STU the upper leg is the first.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import NamedTuple
 
-from . import bounded as bnd
 from . import chords as ch
 from .diagrams import (Diagram, forest_key, graft_with_map, join_trees, representative,
                        split_trees, tree_body)
@@ -56,20 +59,6 @@ def _add(terms: dict, key: bytes, c: int) -> None:
 
 def _element(terms: dict) -> LinComb:
     return LinComb.of_terms(terms) if terms else _ZERO
-
-
-def _trees(D: Diagram):
-    """The tree index of each vertex of a forest and each tree's leg colors
-    as a bitmask."""
-    tree_of, masks = [0] * D.n, []
-    for t, comp in enumerate(D.components()):
-        mask = 0
-        for v in comp:
-            tree_of[v] = t
-            if D.colors[v] is not None:
-                mask |= 1 << D.colors[v]
-        masks.append(mask)
-    return tree_of, masks
 
 
 def _interesting_graft(masks, a: int, b: int, color: int) -> bool:
@@ -173,38 +162,100 @@ def ihx_relators(basis):
                 yield Relator(f"ihx:{key.hex()}:{off - t + e}", _element(terms))
 
 
-# -- STU and the bounded link relation ----------------------------------------
+# -- STU and the bounded link relation, on tree bodies ------------------------
+
+
+def _slots(key):
+    """k, the slot bound K and the trees of a bounded key, with the tree of
+    each slot of segment s, top to bottom, at segs[s] and each tree's
+    segments as a bitmask.  A basis tree has at most one leg on a segment."""
+    k, trees = key[1], split_trees(key[2:])
+    segs, masks = [[] for _ in range(k + 1)], [0] * len(trees)
+    for c, t in sorted((c, t) for t, (_, (colors, _)) in enumerate(trees) for c in colors if c):
+        s = (c - 1) % k + 1
+        segs[s].append(t)
+        masks[t] |= 1 << s
+    return k, key[3], trees, segs, masks
+
+
+def _translated(key, trees, t: int, table) -> tuple:
+    """The body of tree t of a bounded key with its slot colors translated
+    by table, unkeyed; the key's colors start at key[6]."""
+    off, (colors, ends) = trees[t]
+    return tuple(key[6 + off:6 + off + len(colors)].translate(table)), ends
+
+
+def _rekeyed(key, trees, t: int, table, keyed) -> tuple:
+    """(body, sign) of tree t of a bounded key with its slot colors
+    translated by table, keyed on its representative once per call in
+    keyed."""
+    raw = _translated(key, trees, t, table)
+    if (made := keyed.get(raw)) is None:
+        sk = forest_key(representative(join_trees(key[3], [raw])))
+        made = keyed[raw] = (tree_body(sk.key), sk.sign)
+    return made
+
+
+def _joined(key, K, trees, moved, parts):
+    """(key, sign) of the bounded forest of the trees of key not in moved
+    and of parts, (body, sign) pairs, with bound K."""
+    bodies, sign = [body for t, (_, body) in enumerate(trees) if t not in moved], 1
+    for body, c in parts:
+        bodies.append(body)
+        sign *= c
+    return key[:2] + join_trees(K, bodies), sign
 
 
 def stu_relators(basis):
     """S - T + U at adjacent leg positions p, p+1 on each segment s of each
-    basis key.  B is the key's representative, so T is the key with sign +1;
-    U has B's graph, and S is built only when it is not boring."""
+    basis key.  T is the key, with sign +1.  U exchanges the slot colors of
+    the two legs, and S sends the lower one's slot to the upper's and each
+    slot below it up one, then grafts the two legs that now share a slot; S
+    is built only when it is not boring.  Only the trees whose colors move
+    are keyed again."""
+    keyed, grafts = {}, {}
     for key in basis:
-        B = bnd.bounded_from_key(key)
-        tree_of, masks = _trees(B.graph)
-        for s, seg in enumerate(B.order, start=1):
+        k, K, trees, segs, masks = _slots(key)
+        for s in range(1, k + 1):
+            seg = segs[s]
             for p in range(len(seg) - 1):
+                a, b = seg[p], seg[p + 1]
+                upper, lower = p * k + s, (p + 1) * k + s
                 terms = {key: -1}
-                sk = bnd.bounded_key(bnd.swap_adjacent_legs(B, s, p))
-                _add(terms, sk.key, sk.sign)
-                if _interesting_graft(masks, tree_of[seg[p]], tree_of[seg[p + 1]], s):
-                    sk = bnd.bounded_key(bnd.graft_adjacent_legs(B, s, p))
-                    _add(terms, sk.key, sk.sign)
+                swap = bytes.maketrans(bytes([upper, lower]), bytes([lower, upper]))
+                _add(terms, *_joined(key, K, trees, (a, b),
+                                     [_rekeyed(key, trees, t, swap, keyed) for t in (a, b)]))
+                if _interesting_graft(masks, a, b, s):
+                    end = len(seg) * k + s
+                    up = bytes.maketrans(bytes(range(lower, end, k)), bytes(range(upper, end - k, k)))
+                    ra, rb = _translated(key, trees, a, up), _translated(key, trees, b, up)
+                    g = ra, rb, ra[0].index(upper), rb[0].index(upper)
+                    if (made := grafts.get(g)) is None:
+                        made = grafts[g] = _graft(K - k, *g)
+                    _add(terms, *_joined(key, K - k, trees, seg[p:], [made] + [
+                        _rekeyed(key, trees, t, up, keyed) for t in seg[p + 2:]]))
                 yield Relator(f"stu:{key.hex()}:{s}:{p}", _element(terms))
 
 
 def link1_relators(basis):
     """Cycling the top leg of segment s to the bottom minus the original, at
-    each segment with legs of each basis key; the original is the key, with
-    sign +1, as for stu_relators."""
+    each segment with legs of each basis key: every slot of s moves, so the
+    trees with a leg on s are keyed again.  The original is the key, with
+    sign +1, as for stu_relators.  A lone leg cycles to the key itself, so
+    its relator is the zero element at once."""
+    keyed = {}
     for key in basis:
-        B = bnd.bounded_from_key(key)
-        for s, seg in enumerate(B.order, start=1):
-            if seg:
-                terms = {key: -1}
-                sk = bnd.bounded_key(bnd.cycle_segment(B, s))
-                _add(terms, sk.key, sk.sign)
+        k, K, trees, segs, _ = _slots(key)
+        for s in range(1, k + 1):
+            if seg := segs[s]:
+                terms = {}
+                if len(seg) > 1:
+                    end = len(seg) * k + s
+                    cycle = bytes.maketrans(bytes(range(s, end, k)),
+                                            bytes([end - k, *range(s, end - k, k)]))
+                    terms = {key: -1}
+                    _add(terms, *_joined(key, K, trees, seg,
+                                         [_rekeyed(key, trees, t, cycle, keyed) for t in seg]))
                 yield Relator(f"link1:{key.hex()}:{s}", _element(terms))
 
 

@@ -333,6 +333,6 @@ def chi(D: Diagram, k: int) -> LinComb:
     weight = Fraction(1, prod(factorial(D.colors.count(c)) for c in range(1, k + 1)))
     terms = []
     for order in bnd.leg_orders(D):
-        sk = bnd.bounded_key(bnd.BoundedDiagram._assemble(k, D, order))
+        sk = bnd.bounded_key(D, order)
         terms.append((sk.key, weight * sk.sign))
     return LinComb(terms)

@@ -31,6 +31,9 @@ Core claims:
     - enumerate --space chord at d = 4, 5, the hopf-check text at
       --chord-degree 3 and dim --json --space chord at d = 0..6 are pinned
       by SHA-256 digest, and the dim --json line of chord 7 in full
+    - enumerate --space bounded --json at k <= 3, d <= 3 and at 4/3, and
+      chi -k 4 --json on every basis forest of forest 4/3, are pinned by
+      SHA-256 digest
     - hopf-check checks its budget before any work: the chord side at
       --chord-degree + 1, the forest side at --forest-k, --forest-degree
 """
@@ -400,6 +403,33 @@ def test_bounded_dim_bytes_are_pinned():
     out = "".join(_main_stdout("--json", "dim", "--space", space, "-k", str(k), "-d", str(d))
                   for space in ("ahsl", "ahl") for k, d in cells)
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_BOUNDED_DIMS
+
+
+# the concatenated enumerate --space bounded --json output at k = 1..3 with
+# d = 0..3 and then at k = 4, d = 3; and the concatenated chi -k 4 --json
+# output on the document of each basis forest of enumerate --space forest
+# -k 4 -d 3, in enumeration order
+PINNED_BOUNDED_DOCS = "b60d841e6c4f0e96f9768b2f4d61a4d8d553f3c297c4d46b1b11e7cd24bc131f"
+PINNED_CHI_4_3 = (83, 371, "f9d05259cd4cfdb85a32aa374c509a0784891366ab9ada2f78b23a1903de4fc2")
+
+
+def test_enumerate_bounded_bytes_are_pinned():
+    cells = [(k, d) for k in range(1, 4) for d in range(4)] + [(4, 3)]
+    out = "".join(_main_stdout("--json", "enumerate", "--space", "bounded", "-k", str(k), "-d", str(d))
+                  for k, d in cells)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_BOUNDED_DOCS
+
+
+def test_chi_bytes_are_pinned(tmp_path):
+    lines = _main_stdout("--json", "enumerate", "--space", "forest", "-k", "4", "-d", "3").splitlines()
+    path = tmp_path / "forest.json"
+    images = []
+    for line in lines:
+        path.write_text(json.dumps(json.loads(line)["diagram"]))
+        images.append(_main_stdout("--json", "chi", "-k", "4", "--input", str(path)))
+    out = "".join(images)
+    assert (len(lines), sum(len(json.loads(image)) for image in images),
+            hashlib.sha256(out.encode()).hexdigest()) == PINNED_CHI_4_3
 
 
 def test_chord_7_keys():

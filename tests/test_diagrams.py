@@ -12,11 +12,14 @@ Core claims:
     - the forest labeling agrees with a refinement search (individualization
       and refinement, kept here as the oracle) on random forests, plain and
       bounded; the oracle gives sign 0 to a diagram with an order-reversing
-      automorphism
+      automorphism.  A bounded diagram as an object, its graph beside its
+      segment orders, with its surgeries, is kept here as the oracle of
+      bounded keys
 """
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,7 +154,7 @@ def _tree_pool(rng, k, max_leaves, distinct=True):
 
 def _search_bounded(B):
     """The refinement search's key of a bounded diagram, as the oracle."""
-    colors, kk = bnd._slot_colors(B)
+    colors, kk = slot_colors(B)
     return _search_key(Diagram(kk, tuple(colors), B.graph.incidence))
 
 
@@ -163,6 +166,98 @@ def _random_order(rng, D):
         rng.shuffle(seg)
         order.append(tuple(seg))
     return tuple(order)
+
+
+# -- Bounded diagrams as objects, the oracle of bounded keys -------------------
+#
+# The library keeps a bounded diagram as its key and moves slot colors on the
+# key's tree bodies.  The oracle keeps the graph, its legs colored by segment,
+# beside each segment's legs top to bottom, validates both, and does every
+# surgery on the graph.
+
+@dataclass(frozen=True)
+class BoundedDiagram:
+    k: int
+    graph: Diagram      # legs colored by segment number
+    order: tuple        # order[s-1] = leg vertex ids on segment s, top to bottom
+
+    def __post_init__(self):
+        if self.graph.k != self.k or len(self.order) != self.k:
+            raise DiagramError("segment count mismatch")
+        placed = [v for seg in self.order for v in seg]
+        expected = sorted(v for v, _ in self.graph.legs())
+        if sorted(placed) != expected:
+            raise DiagramError("every leg must be placed exactly once")
+        for s, seg in enumerate(self.order, start=1):
+            for v in seg:
+                if self.graph.colors[v] != s:
+                    raise DiagramError(f"leg {v} is placed on segment {s}, not its own")
+
+
+def slot_colors(B: BoundedDiagram):
+    """Leg colors recolored by (segment, position) slot, and their bound."""
+    total = sum(len(seg) for seg in B.order)
+    colors = list(B.graph.colors)
+    for s, seg in enumerate(B.order, start=1):
+        for p, v in enumerate(seg):
+            colors[v] = p * B.k + s
+    return colors, B.k * (total + 1)
+
+
+def bounded_from_key(key: bytes) -> BoundedDiagram:
+    """The representative of a bounded key, validated."""
+    k = key[1]
+    inner = representative(key[2:])
+    colors, slots = [], {}
+    for v, c in enumerate(inner.colors):
+        if c is None:
+            colors.append(None)
+        else:
+            s, p = (c - 1) % k + 1, (c - 1) // k
+            colors.append(s)
+            slots[(s, p)] = v
+    order = []
+    for s in range(1, k + 1):
+        seg, p = [], 0
+        while (s, p) in slots:
+            seg.append(slots[(s, p)])
+            p += 1
+        order.append(tuple(seg))
+    return BoundedDiagram(k, Diagram(k, tuple(colors), inner.incidence), tuple(order))
+
+
+def _replace_segment(B: BoundedDiagram, s: int, seg) -> BoundedDiagram:
+    order = list(B.order)
+    order[s - 1] = tuple(seg)
+    return BoundedDiagram(B.k, B.graph, tuple(order))
+
+
+def swap_adjacent_legs(B: BoundedDiagram, s: int, p: int) -> BoundedDiagram:
+    seg = list(B.order[s - 1])
+    seg[p], seg[p + 1] = seg[p + 1], seg[p]
+    return _replace_segment(B, s, seg)
+
+
+def cycle_segment(B: BoundedDiagram, s: int) -> BoundedDiagram:
+    seg = B.order[s - 1]
+    if not seg:
+        raise DiagramError(f"segment {s} has no legs")
+    return _replace_segment(B, s, seg[1:] + seg[:1])
+
+
+def graft_adjacent_legs(B: BoundedDiagram, s: int, p: int) -> BoundedDiagram:
+    """The grafted STU term at positions p, p+1 of segment s: the new leg
+    takes position p."""
+    seg = B.order[s - 1]
+    u, w = seg[p], seg[p + 1]
+    graph, idmap, leaf = graft_with_map(B.graph, u, w)
+    order = []
+    for si, old in enumerate(B.order, start=1):
+        seg2 = [idmap[v] for v in old if v not in (u, w)]
+        if si == s:
+            seg2.insert(p, leaf)
+        order.append(tuple(seg2))
+    return BoundedDiagram(B.k, graph, tuple(order))
 
 
 # -- The refinement search, the oracle of the forest labeling -----------------
@@ -530,20 +625,21 @@ def test_bounded_forest_labeling_matches_search(seed):
     k = rng.randint(1, 3)
     pool = _tree_pool(rng, k, 4, distinct=False)
     F = _random_forest(rng, k, pool)
-    B = bnd.BoundedDiagram(k, F, _random_order(rng, F))
+    B = BoundedDiagram(k, F, _random_order(rng, F))
     base = F if rng.random() < 0.5 else _random_forest(rng, k, pool)
     order = B.order if base is F else _random_order(rng, base)
     perm = list(range(base.n))
     rng.shuffle(perm)
-    C = bnd.BoundedDiagram(k, _relabel(base, rng, flip=True, perm=perm)[0],
-                           tuple(tuple(perm[v] for v in seg) for seg in order))
-    fast_b, fast_c = bnd.bounded_key(B), bnd.bounded_key(C)
+    C = BoundedDiagram(k, _relabel(base, rng, flip=True, perm=perm)[0],
+                       tuple(tuple(perm[v] for v in seg) for seg in order))
+    fast_b, fast_c = bnd.bounded_key(B.graph, B.order), bnd.bounded_key(C.graph, C.order)
     slow_b, slow_c = _search_bounded(B), _search_bounded(C)
     assert (fast_b.key == fast_c.key) == (slow_b.key == slow_c.key)
     assert fast_b.sign * fast_c.sign != 0
     if fast_b.key == fast_c.key:
         assert fast_b.sign * fast_c.sign == slow_b.sign * slow_c.sign
-    again = bnd.bounded_key(bnd.bounded_from_key(fast_b.key))
+    again = bounded_from_key(fast_b.key)
+    again = bnd.bounded_key(again.graph, again.order)
     assert again == SignedCanonicalKey(fast_b.key, 1)
 
 
@@ -555,7 +651,7 @@ def test_oversized_forest_is_rejected_before_its_walk(legs):
     with pytest.raises(DiagramError, match="too large to encode"):
         canonicalize(D)
     with pytest.raises(DiagramError, match="too large to encode"):
-        bnd.bounded_key(bnd.BoundedDiagram(legs, D, tuple((v,) for v in range(legs))))
+        bnd.bounded_key(D, tuple((v,) for v in range(legs)))
 
 
 def test_parallel_struts_are_labeled_without_search():

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkhom.bases import enum_forests, trees_on_colors
-from linkhom.bounded import bounded_from_key, bounded_key, enum_bounded
+from linkhom.bounded import bounded_key, enum_bounded
 from linkhom.chords import enum_chord, pairing_key
 from linkhom.diagrams import (
     SignedCanonicalKey,
@@ -39,6 +39,7 @@ from linkhom.diagrams import (
     representative,
     split_trees,
 )
+from test_diagrams import bounded_from_key
 
 
 # -- Oracles -------------------------------------------------------------------
@@ -315,7 +316,7 @@ def test_bounded_keys_round_trip_with_sign_plus_one(k, d):
         assert B.k == k
         assert B.graph.degree() == d
         assert not is_boring(B.graph)
-        assert bounded_key(B) == SignedCanonicalKey(key, 1)
+        assert bounded_key(B.graph, B.order) == SignedCanonicalKey(key, 1)
 
 
 def test_bounded_enumeration_deterministic():

@@ -10,8 +10,10 @@ forest and injected with a Fraction coefficient.
 
 Core claims:
     - every relator id and element of the bhsl and bhl blocks at k <= 5,
-      d <= 3 and at 4/4, and of the ahsl and ahl blocks at k <= 4, d <= 3,
-      equals the oracle's, and every coefficient is an int
+      d <= 3 and at 4/4, and of the ahsl and ahl blocks at k <= 4, d <= 3
+      and at 5/3, equals the oracle's, and every coefficient is an int; the
+      bounded oracle does each surgery on the bounded diagram kept in
+      test_diagrams and keys the whole result
     - the enumerated forest keys of those cells are the oracle's keys of the
       disjoint unions of their trees, each with sign +1, and the bounded
       keys are the oracle's keys of every leg order
@@ -36,9 +38,17 @@ from linkhom.diagrams import (
     is_boring,
 )
 from linkhom.lincomb import LinComb
-from linkhom.relators import _interesting_graft, _trees, star_relators
-from test_diagrams import disjoint_union
-from test_relators import internal_edges
+from linkhom.relators import _interesting_graft, star_relators
+from test_diagrams import (
+    BoundedDiagram,
+    bounded_from_key,
+    cycle_segment,
+    disjoint_union,
+    graft_adjacent_legs,
+    slot_colors,
+    swap_adjacent_legs,
+)
+from test_relators import internal_edges, trees_of
 
 
 # -- Oracle -------------------------------------------------------------------
@@ -96,10 +106,10 @@ def _inject(D):
 
 
 def _inject_bounded(B):
-    B = bnd.BoundedDiagram(B.k, _validated(B.graph), B.order)
+    B = BoundedDiagram(B.k, _validated(B.graph), B.order)
     if is_boring(B.graph):
         return LinComb.zero()
-    key, sign = _global_key(B.graph, *bnd._slot_colors(B))
+    key, sign = _global_key(B.graph, *slot_colors(B))
     return LinComb.term(bytes([0x42, B.k]) + key, Fraction(sign))
 
 
@@ -137,25 +147,20 @@ def _ihx(key):
     return out
 
 
-def _bounded(key):
-    B = bnd.bounded_from_key(key)
-    return bnd.BoundedDiagram(B.k, _validated(B.graph), B.order)
-
-
 def _stu(key):
-    B = _bounded(key)
+    B = bounded_from_key(key)
     out = {}
     for s in range(1, B.k + 1):
         for p in range(len(B.order[s - 1]) - 1):
             out[f"stu:{key.hex()}:{s}:{p}"] = (
-                _inject_bounded(bnd.graft_adjacent_legs(B, s, p)) - _inject_bounded(B)
-                + _inject_bounded(bnd.swap_adjacent_legs(B, s, p)))
+                _inject_bounded(graft_adjacent_legs(B, s, p)) - _inject_bounded(B)
+                + _inject_bounded(swap_adjacent_legs(B, s, p)))
     return out
 
 
 def _link1(key):
-    B = _bounded(key)
-    return {f"link1:{key.hex()}:{s}": _inject_bounded(bnd.cycle_segment(B, s)) - _inject_bounded(B)
+    B = bounded_from_key(key)
+    return {f"link1:{key.hex()}:{s}": _inject_bounded(cycle_segment(B, s)) - _inject_bounded(B)
             for s in range(1, B.k + 1) if B.order[s - 1]}
 
 
@@ -191,7 +196,7 @@ def _oracle_forests(k, d, m):
 
 
 FOREST_CELLS = [(k, d) for k in range(1, 6) for d in range(4)] + [(4, 4)]
-BOUNDED_CELLS = [(k, d) for k in range(1, 5) for d in range(4)]
+BOUNDED_CELLS = [(k, d) for k in range(1, 5) for d in range(4)] + [(5, 3)]
 CELLS = ([("bhsl", k, d) for k, d in FOREST_CELLS] + [("bhl", k, d) for k, d in FOREST_CELLS]
          + [("ahsl", k, d) for k, d in BOUNDED_CELLS] + [("ahl", k, d) for k, d in BOUNDED_CELLS])
 
@@ -232,7 +237,7 @@ def test_bounded_keys_match_the_whole_forest_keys(k, d):
             pools = [itertools.permutations([v for v, c in F.legs() if c == s])
                      for s in range(1, k + 1)]
             for order in itertools.product(*pools):
-                want.update(_inject_bounded(bnd.BoundedDiagram(k, F, order)).keys())
+                want.update(_inject_bounded(BoundedDiagram(k, F, order)).keys())
         assert bnd.enum_bounded(k, d, m) == sorted(want), (k, d, m)
 
 
@@ -240,7 +245,7 @@ def test_bounded_keys_match_the_whole_forest_keys(k, d):
 def test_skipped_grafts_are_exactly_the_boring_ones(k, d):
     for key in enum_forests(k, d):
         E = canonical_diagram(key)
-        tree_of, masks = _trees(E)
+        tree_of, masks = trees_of(E)
         for (u, a), (w, b) in itertools.permutations(E.legs(), 2):
             if a == b:
                 G = graft_with_map(E, u, w)[0]

@@ -7,7 +7,8 @@ Core claims:
     - malformed documents fail with positioned ParseError messages
     - chord and bounded documents carry their diagram: a pairing keys to
       the chord key again, and a bounded document read by the reader kept
-      here gives the same segment orders and graph class
+      here gives the segment orders and graph class of the key's oracle
+      representative, and keys to the key again
 """
 
 import json
@@ -15,13 +16,14 @@ import json
 import pytest
 
 from linkhom.bases import enum_forests
-from linkhom.bounded import BoundedDiagram, bounded_from_key, enum_bounded
+from linkhom.bounded import bounded_key, enum_bounded
 from linkhom.chords import enum_chord, pairing_key
 from linkhom.diagrams import canonical_diagram, canonicalize, tripod
 from linkhom.errors import ParseError
 from linkhom.interchange import bounded_doc, chord_doc, parse, serialize
 from linkhom.lincomb import terms_doc
 from linkhom.relators import star_relators
+from test_diagrams import BoundedDiagram, bounded_from_key
 
 
 def serialize_text(D) -> str:
@@ -73,10 +75,11 @@ def test_chord_round_trip(d):
 def test_bounded_round_trip():
     for key in enum_bounded(3, 2):
         B = bounded_from_key(key)
-        C = read_bounded(bounded_doc(B))
+        C = read_bounded(bounded_doc(key))
         assert C.k == B.k
         assert C.order == B.order
         assert canonicalize(C.graph).key == canonicalize(B.graph).key
+        assert bounded_key(C.graph, C.order).key == key
 
 
 def test_relator_doc_shape():

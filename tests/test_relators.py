@@ -50,7 +50,6 @@ from linkhom.relators import (
     _four_t_placements,
     _interesting_graft,
     _rotate_to_front,
-    _trees,
     _with_rotations,
     four_t_relators,
     four_t_relators_mod_1t,
@@ -79,6 +78,20 @@ def _add(terms, sk, c=1):
         del terms[sk.key]
 
 
+def trees_of(D):
+    """The tree index of each vertex of a forest and each tree's leg colors
+    as a bitmask, as relators._interesting_graft takes them."""
+    tree_of, masks = [0] * D.n, []
+    for t, comp in enumerate(D.components()):
+        mask = 0
+        for v in comp:
+            tree_of[v] = t
+            if D.colors[v] is not None:
+                mask |= 1 << D.colors[v]
+        masks.append(mask)
+    return tree_of, masks
+
+
 def star_relator(E, u, key):
     """The link relation at leg u of the forest E, whose key (carried by
     the id) is key: every graft of u onto another leg of its color, keyed
@@ -86,7 +99,7 @@ def star_relator(E, u, key):
     color = E.colors[u]
     if color is None:
         raise DiagramError(f"vertex {u} is not a leg")
-    tree_of, masks = _trees(E)
+    tree_of, masks = trees_of(E)
     terms = {}
     for w, c in E.legs():
         if c == color and w != u and _interesting_graft(masks, tree_of[u], tree_of[w], color):

@@ -27,6 +27,9 @@ Core claims:
       allocates less than half of what holding its relators takes
     - the bhl and ahl block on colors 1..m has the dimension of the loopless
       multigraphs with d edges on m labeled vertices and none isolated
+    - at k = 5, every ahl block at d <= 4 has the dimension of its bhl block
+      and of that multigraph count (the averaging map chi is an isomorphism
+      block by block), and every ahsl block at d <= 3 that of its bhsl block
 """
 
 import itertools
@@ -184,6 +187,15 @@ def test_support_block_dim_counts_multigraphs(space, m, d):
     block = dim_block(space, max(m, 1), d, m)
     want = full_support_multigraphs(m, d)
     assert block.dim == want, f"{space} block on colors 1..{m}, d={d}: dim {block.dim}, want {want}"
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_bounded_blocks_match_forest_blocks_at_k5(d):
+    for m in range(6):
+        want = full_support_multigraphs(m, d)
+        assert dim_block("ahl", 5, d, m).dim == dim_block("bhl", 5, d, m).dim == want, (m, d)
+        if d <= 3:
+            assert dim_block("ahsl", 5, d, m).dim == dim_block("bhsl", 5, d, m).dim, (m, d)
 
 
 @pytest.mark.parametrize("d,dim", [(1, 0), (2, 1), (3, 1), (4, 3), (5, 4), (6, 9)])

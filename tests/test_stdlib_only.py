@@ -7,6 +7,9 @@ Core claims:
     - no module but __init__.py, whose imports are re-exports, imports a name
       it never uses
     - every name in linkhom.__all__ resolves
+    - every private module-level function or class, and every private
+      method, is referenced by name or attribute somewhere in the library,
+      so no helper stays behind for the tests alone
 """
 
 import ast
@@ -66,3 +69,30 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_every_exported_name_resolves():
     missing = [name for name in linkhom.__all__ if not hasattr(linkhom, name)]
     assert not missing, f"__all__ names nothing for {missing}"
+
+
+def _private(name) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_definitions(tree):
+    """The private module-level functions and classes of a module, and the
+    private methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _private(node.name):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body
+                        if isinstance(item, ast.FunctionDef) and _private(item.name))
+
+
+def test_every_private_definition_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    defined = [(name, private) for name, tree in trees.items()
+               for private in _private_definitions(tree)]
+    assert len(defined) > 50
+    unused = [f"{name}: {private}" for name, private in defined if private not in used]
+    assert not unused, f"defined and never referenced in the library: {unused}"
