@@ -21,7 +21,7 @@ themselves, so a forest's key is joined from its trees' keys: their bodies
 sorted by color sequence, labels offset, edges concatenated (join_trees).
 Rotation parities are local to a tree, so the sign is the product of the
 trees' signs.  split_trees reads the bodies back off a key, so a change to
-one tree is keyed on that tree alone and joined to the others.
+one tree is keyed on that tree alone (key_tree) and joined to the others.
 
 Labels come in linear time, after Aho, Hopcroft and Ullman's rooted tree
 isomorphism: each tree is rooted at its least-colored leg, children are
@@ -319,17 +319,13 @@ def split_trees(key: bytes) -> list:
     return trees
 
 
-def forest_key(D: Diagram, colors=None, k=None) -> SignedCanonicalKey:
+def forest_key(D: Diagram) -> SignedCanonicalKey:
     """Canonical key of a diagram known to be a forest whose trees have
     distinct leg colors, unchecked (canonicalize checks); joined from its
-    trees' keys, with the product of their signs.  colors and k, when given,
-    stand in for the leg colors and their bound: bounded keys pass each
-    leg's slot color this way."""
+    trees' keys, with the product of their signs."""
     if D.n > KEY_BYTE_MAX:      # also bounds the walk's recursion depth
         raise DiagramError("diagram too large to encode")
-    if colors is None:
-        colors, k = D.colors, D.k
-    owner, inc = D._owner, D.incidence
+    colors, owner, inc = D.colors, D._owner, D.incidence
     up_of = [0] * D.n       # the half-edge through which the walk entered
     flips = 0
 
@@ -365,7 +361,24 @@ def forest_key(D: Diagram, colors=None, k=None) -> SignedCanonicalKey:
     # first child, second child), so the input's rotation has parity -1
     # exactly at a flip.
     sign = -1 if flips & 1 else 1
-    return SignedCanonicalKey(join_trees(k, trees), sign)
+    return SignedCanonicalKey(join_trees(D.k, trees), sign)
+
+
+def recolored(body, table) -> tuple:
+    """A tree body with its leg colors translated by table, unkeyed."""
+    colors, ends = body
+    return tuple(bytes(colors).translate(table)), ends
+
+
+def key_tree(body, keyed: dict) -> tuple:
+    """(canonical body, sign) of a tree body whose leg colors are distinct
+    but whose labels need not be canonical, keyed once per dict keyed, which
+    the caller drops on return.  A tree's key does not depend on the color
+    bound, so none is given."""
+    if (made := keyed.get(body)) is None:
+        sk = forest_key(representative(join_trees(0, [body])))
+        made = keyed[body] = (tree_body(sk.key), sk.sign)
+    return made
 
 
 def canonicalize(D: Diagram) -> SignedCanonicalKey:

@@ -19,7 +19,7 @@ tree pair and leg pair, or a tree and edge, once, in a dict it drops on
 return.  A bounded key's legs carry slot colors p*k + s (bounded.py), and
 an STU or link1 term is one byte translate of them: a swap moves two trees,
 a graft the trees with a leg at or below the pair, a cycle every tree with
-a leg on the segment, and only those are keyed again.
+a leg on the segment, and only those are keyed again (diagrams.key_tree).
 
 Sign conventions: IHX is I - H + X with both rotations normalized to start
 with the internal edge (the exchange pattern follows the Jacobi identity);
@@ -34,8 +34,9 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import chords as ch
-from .diagrams import (Diagram, forest_key, graft_with_map, join_trees, representative,
-                       split_trees, tree_body)
+from .bounded import joined, slot_trees
+from .diagrams import (Diagram, forest_key, graft_with_map, join_trees, key_tree, recolored,
+                       representative, split_trees, tree_body)
 from .errors import DiagramError
 from .lincomb import LinComb
 
@@ -165,47 +166,6 @@ def ihx_relators(basis):
 # -- STU and the bounded link relation, on tree bodies ------------------------
 
 
-def _slots(key):
-    """k, the slot bound K and the trees of a bounded key, with the tree of
-    each slot of segment s, top to bottom, at segs[s] and each tree's
-    segments as a bitmask.  A basis tree has at most one leg on a segment."""
-    k, trees = key[1], split_trees(key[2:])
-    segs, masks = [[] for _ in range(k + 1)], [0] * len(trees)
-    for c, t in sorted((c, t) for t, (_, (colors, _)) in enumerate(trees) for c in colors if c):
-        s = (c - 1) % k + 1
-        segs[s].append(t)
-        masks[t] |= 1 << s
-    return k, key[3], trees, segs, masks
-
-
-def _translated(key, trees, t: int, table) -> tuple:
-    """The body of tree t of a bounded key with its slot colors translated
-    by table, unkeyed; the key's colors start at key[6]."""
-    off, (colors, ends) = trees[t]
-    return tuple(key[6 + off:6 + off + len(colors)].translate(table)), ends
-
-
-def _rekeyed(key, trees, t: int, table, keyed) -> tuple:
-    """(body, sign) of tree t of a bounded key with its slot colors
-    translated by table, keyed on its representative once per call in
-    keyed."""
-    raw = _translated(key, trees, t, table)
-    if (made := keyed.get(raw)) is None:
-        sk = forest_key(representative(join_trees(key[3], [raw])))
-        made = keyed[raw] = (tree_body(sk.key), sk.sign)
-    return made
-
-
-def _joined(key, K, trees, moved, parts):
-    """(key, sign) of the bounded forest of the trees of key not in moved
-    and of parts, (body, sign) pairs, with bound K."""
-    bodies, sign = [body for t, (_, body) in enumerate(trees) if t not in moved], 1
-    for body, c in parts:
-        bodies.append(body)
-        sign *= c
-    return key[:2] + join_trees(K, bodies), sign
-
-
 def stu_relators(basis):
     """S - T + U at adjacent leg positions p, p+1 on each segment s of each
     basis key.  T is the key, with sign +1.  U exchanges the slot colors of
@@ -215,7 +175,8 @@ def stu_relators(basis):
     are keyed again."""
     keyed, grafts = {}, {}
     for key in basis:
-        k, K, trees, segs, masks = _slots(key)
+        k, K = key[1], key[3]
+        bodies, segs, masks = slot_trees(key[2:], k)
         for s in range(1, k + 1):
             seg = segs[s]
             for p in range(len(seg) - 1):
@@ -223,17 +184,17 @@ def stu_relators(basis):
                 upper, lower = p * k + s, (p + 1) * k + s
                 terms = {key: -1}
                 swap = bytes.maketrans(bytes([upper, lower]), bytes([lower, upper]))
-                _add(terms, *_joined(key, K, trees, (a, b),
-                                     [_rekeyed(key, trees, t, swap, keyed) for t in (a, b)]))
+                _add(terms, *joined(key, K, bodies, (a, b), [
+                    key_tree(recolored(bodies[t], swap), keyed) for t in (a, b)]))
                 if _interesting_graft(masks, a, b, s):
                     end = len(seg) * k + s
                     up = bytes.maketrans(bytes(range(lower, end, k)), bytes(range(upper, end - k, k)))
-                    ra, rb = _translated(key, trees, a, up), _translated(key, trees, b, up)
+                    ra, rb = recolored(bodies[a], up), recolored(bodies[b], up)
                     g = ra, rb, ra[0].index(upper), rb[0].index(upper)
                     if (made := grafts.get(g)) is None:
                         made = grafts[g] = _graft(K - k, *g)
-                    _add(terms, *_joined(key, K - k, trees, seg[p:], [made] + [
-                        _rekeyed(key, trees, t, up, keyed) for t in seg[p + 2:]]))
+                    _add(terms, *joined(key, K - k, bodies, seg[p:], [made] + [
+                        key_tree(recolored(bodies[t], up), keyed) for t in seg[p + 2:]]))
                 yield Relator(f"stu:{key.hex()}:{s}:{p}", _element(terms))
 
 
@@ -245,7 +206,8 @@ def link1_relators(basis):
     its relator is the zero element at once."""
     keyed = {}
     for key in basis:
-        k, K, trees, segs, _ = _slots(key)
+        k, K = key[1], key[3]
+        bodies, segs, _ = slot_trees(key[2:], k)
         for s in range(1, k + 1):
             if seg := segs[s]:
                 terms = {}
@@ -254,8 +216,8 @@ def link1_relators(basis):
                     cycle = bytes.maketrans(bytes(range(s, end, k)),
                                             bytes([end - k, *range(s, end - k, k)]))
                     terms = {key: -1}
-                    _add(terms, *_joined(key, K, trees, seg,
-                                         [_rekeyed(key, trees, t, cycle, keyed) for t in seg]))
+                    _add(terms, *joined(key, K, bodies, seg, [
+                        key_tree(recolored(bodies[t], cycle), keyed) for t in seg]))
                 yield Relator(f"link1:{key.hex()}:{s}", _element(terms))
 
 

@@ -325,14 +325,12 @@ def monomial_str(mono) -> str:
 
 def chi(D: Diagram, k: int) -> LinComb:
     """Average of all leg attachments, one permutation per color, divided by
-    the number of attachments.  Boring input maps to 0."""
+    the number of attachments.  Boring input maps to 0; any other input is
+    its canonical sign times the average of its key's leg orders."""
     if D.k != k:
         raise DiagramError("color bound mismatch")
     if is_boring(D):
         return LinComb.zero()
-    weight = Fraction(1, prod(factorial(D.colors.count(c)) for c in range(1, k + 1)))
-    terms = []
-    for order in bnd.leg_orders(D):
-        sk = bnd.bounded_key(D, order)
-        terms.append((sk.key, weight * sk.sign))
-    return LinComb(terms)
+    sk = canonicalize(D)
+    weight = Fraction(sk.sign, prod(factorial(D.colors.count(c)) for c in range(1, k + 1)))
+    return LinComb([(key, weight * sign) for key, sign in bnd.leg_orders(sk.key, {})])

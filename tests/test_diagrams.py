@@ -13,8 +13,10 @@ Core claims:
       and refinement, kept here as the oracle) on random forests, plain and
       bounded; the oracle gives sign 0 to a diagram with an order-reversing
       automorphism.  A bounded diagram as an object, its graph beside its
-      segment orders, with its surgeries, is kept here as the oracle of
-      bounded keys
+      segment orders, with its surgeries and the key of its whole
+      slot-colored graph, is kept here as the oracle of bounded keys
+    - an oversized forest raises DiagramError from canonicalize and chi,
+      and so do slot colors that no byte holds, before they are made
 """
 
 import itertools
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkhom import bounded as bnd
 from linkhom.bases import _raw_trees
 from linkhom.diagrams import (
     Diagram,
@@ -41,7 +42,7 @@ from linkhom.diagrams import (
     tripod,
 )
 from linkhom.errors import DiagramError
-from linkhom.spaces import dim_space
+from linkhom.spaces import chi, dim_space
 
 
 # -- Helpers -----------------------------------------------------------------
@@ -202,6 +203,14 @@ def slot_colors(B: BoundedDiagram):
         for p, v in enumerate(seg):
             colors[v] = p * B.k + s
     return colors, B.k * (total + 1)
+
+
+def bounded_key(D: Diagram, order) -> SignedCanonicalKey:
+    """The key of the forest D with order[s-1] its legs on segment s, top to
+    bottom: the forest labeling of the whole slot-colored graph."""
+    colors, kk = slot_colors(BoundedDiagram(D.k, D, tuple(order)))
+    sk = canonicalize(Diagram(kk, tuple(colors), D.incidence))
+    return SignedCanonicalKey(bytes([0x42, D.k]) + sk.key, sk.sign)
 
 
 def bounded_from_key(key: bytes) -> BoundedDiagram:
@@ -632,14 +641,14 @@ def test_bounded_forest_labeling_matches_search(seed):
     rng.shuffle(perm)
     C = BoundedDiagram(k, _relabel(base, rng, flip=True, perm=perm)[0],
                        tuple(tuple(perm[v] for v in seg) for seg in order))
-    fast_b, fast_c = bnd.bounded_key(B.graph, B.order), bnd.bounded_key(C.graph, C.order)
+    fast_b, fast_c = bounded_key(B.graph, B.order), bounded_key(C.graph, C.order)
     slow_b, slow_c = _search_bounded(B), _search_bounded(C)
     assert (fast_b.key == fast_c.key) == (slow_b.key == slow_c.key)
     assert fast_b.sign * fast_c.sign != 0
     if fast_b.key == fast_c.key:
         assert fast_b.sign * fast_c.sign == slow_b.sign * slow_c.sign
     again = bounded_from_key(fast_b.key)
-    again = bnd.bounded_key(again.graph, again.order)
+    again = bounded_key(again.graph, again.order)
     assert again == SignedCanonicalKey(fast_b.key, 1)
 
 
@@ -651,7 +660,16 @@ def test_oversized_forest_is_rejected_before_its_walk(legs):
     with pytest.raises(DiagramError, match="too large to encode"):
         canonicalize(D)
     with pytest.raises(DiagramError, match="too large to encode"):
-        bnd.bounded_key(D, tuple((v,) for v in range(legs)))
+        chi(D, legs)
+
+
+def test_oversized_slot_colors_are_rejected_before_they_are_made():
+    # three segments (99, 98) key at k = 100, but their six legs give slot
+    # colors up to 298 and the bound K = 700, which no byte holds
+    D = build(100, [99, 98] * 3, [(0, 1), (2, 3), (4, 5)])
+    assert len(canonicalize(D).key) == 16
+    with pytest.raises(DiagramError, match="too large to encode"):
+        chi(D, 100)
 
 
 def test_parallel_struts_are_labeled_without_search():

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkhom.bases import enum_forests, trees_on_colors
-from linkhom.bounded import bounded_key, enum_bounded
+from linkhom.bounded import enum_bounded
 from linkhom.chords import enum_chord, pairing_key
 from linkhom.diagrams import (
     SignedCanonicalKey,
@@ -39,7 +39,7 @@ from linkhom.diagrams import (
     representative,
     split_trees,
 )
-from test_diagrams import bounded_from_key
+from test_diagrams import bounded_from_key, bounded_key
 
 
 # -- Oracles -------------------------------------------------------------------

@@ -16,14 +16,14 @@ import json
 import pytest
 
 from linkhom.bases import enum_forests
-from linkhom.bounded import bounded_key, enum_bounded
+from linkhom.bounded import enum_bounded
 from linkhom.chords import enum_chord, pairing_key
 from linkhom.diagrams import canonical_diagram, canonicalize, tripod
 from linkhom.errors import ParseError
 from linkhom.interchange import bounded_doc, chord_doc, parse, serialize
 from linkhom.lincomb import terms_doc
 from linkhom.relators import star_relators
-from test_diagrams import BoundedDiagram, bounded_from_key
+from test_diagrams import BoundedDiagram, bounded_from_key, bounded_key
 
 
 def serialize_text(D) -> str:

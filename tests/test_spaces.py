@@ -12,6 +12,12 @@ Core claims:
     - chi kills boring diagrams and averages legs with uniform weights
     - chi carries IHX relators into the STU span and star relators into
       the STU+link1 span
+    - chi of a relabeled forest with reversed rotations is its canonical
+      sign times chi of its key's representative
+    - chi is onto modulo STU and link1: its images of the bhl basis and the
+      STU and link1 relators span the ahl cell at k <= 3, d <= 3 and at
+      4/2, 4/3 and 5/3; with the spans above and dim ahl = dim bhl, chi is
+      an isomorphism there
     - the main theorem verifier certifies every compound component and its
       certificates replay by plain summation
     - a relator id rebuilds to the element the whole-basis relator table,
@@ -27,12 +33,14 @@ Core claims:
       allocates less than half of what holding its relators takes
     - the bhl and ahl block on colors 1..m has the dimension of the loopless
       multigraphs with d edges on m labeled vertices and none isolated
-    - at k = 5, every ahl block at d <= 4 has the dimension of its bhl block
-      and of that multigraph count (the averaging map chi is an isomorphism
-      block by block), and every ahsl block at d <= 3 that of its bhsl block
+    - at k = 5, every ahl block at d <= 4, and at d = 5 for m <= 3, has the
+      dimension of its bhl block and of that multigraph count (the averaging
+      map chi is an isomorphism block by block), and every ahsl block at
+      d <= 3 that of its bhsl block
 """
 
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -44,12 +52,13 @@ from linkhom.diagrams import (
     canonicalize,
     empty,
     inject,
+    representative,
     segment,
     tripod,
 )
 from linkhom.errors import BudgetError, DiagramError, VerificationError
 from linkhom.lincomb import LinComb
-from linkhom.qlinalg import relator_matrix, verify_certificate
+from linkhom.qlinalg import SparseRationalMatrix, relator_matrix, verify_certificate
 from linkhom.relators import (four_t_relators, ihx_relators, link1_relators, one_t_relators,
                               star_relators, stu_relators)
 from linkhom.bases import enum_forests
@@ -66,7 +75,7 @@ from linkhom.spaces import (
     space_basis,
     verify_main_theorem,
 )
-from test_diagrams import disjoint_union
+from test_diagrams import _relabel, disjoint_union
 from test_relators import count_segments, oracle_relators
 
 
@@ -189,9 +198,10 @@ def test_support_block_dim_counts_multigraphs(space, m, d):
     assert block.dim == want, f"{space} block on colors 1..{m}, d={d}: dim {block.dim}, want {want}"
 
 
-@pytest.mark.parametrize("d", range(5))
+@pytest.mark.parametrize("d", range(6))
 def test_bounded_blocks_match_forest_blocks_at_k5(d):
-    for m in range(6):
+    # at d = 5 the m = 4 ahl block alone takes about 13 s, so m stops at 3
+    for m in range(6 if d < 5 else 4):
         want = full_support_multigraphs(m, d)
         assert dim_block("ahl", 5, d, m).dim == dim_block("bhl", 5, d, m).dim == want, (m, d)
         if d <= 3:
@@ -278,6 +288,32 @@ def test_chi_star_lands_in_stu_link1_span():
     )
     for r in star_relators(enum_forests(3, 2)):
         assert m.membership(chi_lincomb(r.element, 3)).is_member
+
+
+@pytest.mark.parametrize("k, d", [(4, 3), (5, 3)])
+def test_chi_keeps_the_sign_of_its_input(k, d):
+    # the chi pin feeds canonical documents only, whose sign is +1
+    rng = random.Random(1000 * k + d)
+    signs = set()
+    for key in enum_forests(k, d):
+        E = _relabel(representative(key), rng, flip=True)[0]
+        sign = canonicalize(E).sign
+        signs.add(sign)
+        assert chi(E, k) == chi(representative(key), k).scale(sign), key.hex()
+    assert signs == {1, -1}
+
+
+@pytest.mark.parametrize("k, d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+                                  (4, 2), (4, 3), (5, 3)])
+def test_chi_is_onto_modulo_stu_and_link1(k, d):
+    # with the spans above and dim ahl = dim bhl, chi is an isomorphism
+    basis = enum_bounded(k, d)
+    m = SparseRationalMatrix(basis)
+    m.add_relators(stu_relators(basis))
+    m.add_relators(link1_relators(basis))
+    for key in enum_forests(k, d):
+        m.add_row(chi(representative(key), k))
+    assert m.rank() == len(basis)
 
 
 # -- Main theorem ---------------------------------------------------------------------

@@ -10,6 +10,9 @@ Core claims:
     - every private module-level function or class, and every private
       method, is referenced by name or attribute somewhere in the library,
       so no helper stays behind for the tests alone
+    - every public module-level function or class outside __init__.py is
+      referenced in the library, by name, attribute or from-import, or is
+      exported in linkhom.__all__
 """
 
 import ast
@@ -96,3 +99,22 @@ def test_every_private_definition_is_referenced():
     assert len(defined) > 50
     unused = [f"{name}: {private}" for name, private in defined if private not in used]
     assert not unused, f"defined and never referenced in the library: {unused}"
+
+
+def test_every_public_definition_is_used_or_exported():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    used = set(linkhom.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    defined = [(name, node.name) for name, tree in trees.items() if name != "__init__.py"
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _private(node.name)]
+    assert len(defined) > 70
+    unused = [f"{name}: {public}" for name, public in defined if public not in used]
+    assert not unused, f"defined, never referenced in the library and not exported: {unused}"
