@@ -15,7 +15,6 @@ from .diagrams import (
     canonical_diagram,
     canonicalize,
     empty,
-    graft_with_map,
     inject,
     is_boring,
     segment,
@@ -60,7 +59,7 @@ __all__ = [
     "enum_chord",
     # diagrams
     "Diagram", "SignedCanonicalKey", "build", "canonical_diagram", "canonicalize",
-    "empty", "graft_with_map", "inject", "is_boring", "segment", "tripod",
+    "empty", "inject", "is_boring", "segment", "tripod",
     # errors
     "BudgetError", "DiagramError", "ParseError", "UsageError", "VerificationError",
     # gauss

@@ -12,9 +12,11 @@ input is 0 before it is keyed.
 
 No object stands for a bounded diagram, and a bounded key is made one way:
 each tree body's leg colors are translated to slot colors, the tree is
-keyed by diagrams.key_tree and joined to the others.  leg_orders does so
-for enum_bounded and chi, and the STU and link1 relators (relators.py) for
-each term; interchange.bounded_doc reads the graph and order off the key.
+keyed by diagrams.key_tree and joined to the others (joined).  leg_orders
+does so for enum_bounded and chi, and the STU and link1 relators
+(relators.py) for each term; interchange.bounded_doc reads the graph and
+order off the key.  slot_trees is the leg table of those relators and of
+star, which reads a forest key's colors as slot colors with p = 0.
 """
 
 from __future__ import annotations
@@ -42,15 +44,15 @@ def slot_trees(key: bytes, k: int):
     return bodies, segs, masks
 
 
-def joined(key, K, bodies, moved, parts):
-    """(key, sign) of the bounded forest, with the tag and k of key, of the
-    trees in bodies not in moved and of parts, (body, sign) pairs, with
-    bound K."""
+def joined(head, K, bodies, moved, parts):
+    """(key, sign) of the forest of the trees in bodies not in moved and of
+    parts, (body, sign) pairs, with bound K, after the header bytes head:
+    the tag and k of a bounded key, or none for a forest key."""
     kept, sign = [body for t, body in enumerate(bodies) if t not in moved], 1
     for body, c in parts:
         kept.append(body)
         sign *= c
-    return key[:2] + join_trees(K, kept), sign
+    return head + join_trees(K, kept), sign
 
 
 def leg_orders(key: bytes, keyed: dict):

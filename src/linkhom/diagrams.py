@@ -37,11 +37,12 @@ immutable; operations build new diagrams.
 
 Construction paths: Diagram(...), build (and through it canonical_diagram,
 which reads keys that may come from a document) validate their input.
-representative rebuilds a key the library made; it, graft_with_map and
-other surgeries on valid diagrams assemble the result with Diagram._assemble,
-which computes the half-edge owners without re-checking what the parts
-guarantee.  join_trees and split_trees work on keys and tree bodies and
-build no diagram.
+representative rebuilds a key the library made with Diagram._assemble,
+which computes the half-edge owners without re-checking what the key
+guarantees.  join_trees, split_trees and recolored work on keys and tree
+bodies and build no diagram; key_tree keys a tree body through its
+representative, so a surgery on tree bodies (the relators' grafts and
+exchanges) is keyed without a Diagram of its own.
 """
 
 from __future__ import annotations
@@ -86,18 +87,16 @@ class Diagram:
                 raise DiagramError("every component needs at least one leg")
 
     @classmethod
-    def _assemble(cls, k, colors, incidence, components=None) -> "Diagram":
+    def _assemble(cls, k, colors, incidence) -> "Diagram":
         """A diagram built from parts that are already valid, unchecked: the
         half-edge owners are read off the incidence, and the components are
-        taken as given or found when first asked for."""
+        found when first asked for."""
         owner = [0] * sum(map(len, incidence))
         for v, inc in enumerate(incidence):
             for h in inc:
                 owner[h] = v
         D = object.__new__(cls)
         D.__dict__.update(k=k, colors=colors, incidence=incidence, _owner=tuple(owner))
-        if components is not None:
-            D.__dict__["_components"] = components
         return D
 
     # -- basic structure -------------------------------------------------
@@ -206,36 +205,6 @@ def segment(a, b, k) -> Diagram:
 def tripod(a, b, c, k) -> Diagram:
     """One internal vertex with legs a, b, c in rotation order."""
     return build(k, [a, b, c, None], [(3, 0), (3, 1), (3, 2)], {3: (0, 1, 2)})
-
-
-def graft_with_map(E: Diagram, u: int, w: int):
-    """Graft two same-colored legs at a new internal vertex with a fresh leg.
-
-    Legs u and w are deleted, their stems meet a new trivalent vertex whose
-    rotation is (stem of u, stem of w, new leg), and the third edge ends in a
-    new leg of the same color.  Degree is preserved, and swapping u and w
-    negates the class.  Returns the new diagram, the old-to-new vertex map for
-    the surviving vertices, and the new leaf's id.
-    """
-    if u == w or E.colors[u] is None or E.colors[w] is None:
-        raise DiagramError("graft needs two distinct legs")
-    color = E.colors[u]
-    if color != E.colors[w]:
-        raise DiagramError("graft needs legs of one color")
-    idmap = {}
-    colors, incidence = [], []
-    for v in range(E.n):
-        if v in (u, w):
-            continue
-        idmap[v] = len(colors)
-        colors.append(E.colors[v])
-        incidence.append(E.incidence[v])
-    stem_u, stem_w = E.incidence[u][0], E.incidence[w][0]
-    fresh = 2 * E.n_edges
-    leaf = len(colors) + 1
-    colors += [None, color]
-    incidence += [(stem_u, stem_w, fresh), (fresh + 1,)]
-    return Diagram._assemble(E.k, tuple(colors), tuple(incidence)), idmap, leaf
 
 
 # -- predicates -----------------------------------------------------------

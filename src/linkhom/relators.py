@@ -6,20 +6,25 @@ each id carries the hex key of its basis element, so ids are reproducible
 across runs; elements may be zero (still generated and counted, dropped
 when building matrices).  All but the 1T and full 4T lists are yielded one
 at a time, so a caller that counts and reduces them keeps none.
-Coefficients are the ints +-1 (summed where terms meet).  The terms are
-built from parts known to be valid: derived diagrams skip re-validation, a
-graft known to be boring is not built, and the base term of IHX, STU, link1
-and 4T is the basis key itself, with sign +1.
+Coefficients are the ints +-1 (summed where terms meet).  No Diagram is
+built here: a graft known to be boring is not built, and the base term of
+IHX, STU, link1 and 4T is the basis key itself, with sign +1.
 
 All four relations on forests work on the trees of the basis key, each
-canonical with sign +1 (diagrams.split_trees).  A graft changes two trees
-and an exchange one, so a term keys the changed trees alone and joins them
+canonical with sign +1 (diagrams.split_trees).  A graft joins two tree
+bodies into one and an exchange moves two half-edge ends of one body; the
+edited body is keyed by diagrams.key_tree, and its sign is negated where
+the rotation the surgery asks for is not the ascending one its
+representative takes.  A term keys the changed trees alone and joins them
 to the untouched trees with the product of their signs; each call keys a
 tree pair and leg pair, or a tree and edge, once, in a dict it drops on
 return.  A bounded key's legs carry slot colors p*k + s (bounded.py), and
-an STU or link1 term is one byte translate of them: a swap moves two trees,
-a graft the trees with a leg at or below the pair, a cycle every tree with
-a leg on the segment, and only those are keyed again (diagrams.key_tree).
+a forest key's colors are slot colors with p = 0, so star, STU and link1
+find the trees with a leg on each segment in one leg table
+(bounded.slot_trees).  An STU or link1 term is one byte translate of the
+slot colors: a swap moves two trees, a graft the trees with a leg at or
+below the pair, a cycle every tree with a leg on the segment, and only
+those are keyed again.
 
 Sign conventions: IHX is I - H + X with both rotations normalized to start
 with the internal edge (the exchange pattern follows the Jacobi identity);
@@ -35,8 +40,7 @@ from typing import NamedTuple
 
 from . import chords as ch
 from .bounded import joined, slot_trees
-from .diagrams import (Diagram, forest_key, graft_with_map, join_trees, key_tree, recolored,
-                       representative, split_trees, tree_body)
+from .diagrams import join_trees, key_tree, recolored, split_trees
 from .errors import DiagramError
 from .lincomb import LinComb
 
@@ -74,71 +78,81 @@ def _interesting_graft(masks, a: int, b: int, color: int) -> bool:
 # -- the link relation and IHX, on tree bodies ---------------------------------
 
 
-def _graft(k, a, b, u: int, w: int):
+def _ascending(p, q, r) -> bool:
+    """Whether the rotation (p, q, r) is its half-edges in ascending order,
+    up to cycling: the rotation a representative takes."""
+    return (p < q) + (q < r) + (r < p) == 2
+
+
+def _graft(a, b, u: int, w: int):
     """(body, sign) of the tree made by grafting leg u of the tree with body
-    a onto leg w of the tree with body b, legs numbered within their trees:
-    the graft of the two-tree forest's representative, keyed."""
-    u, w = (u, len(a[0]) + w) if a < b else (len(b[0]) + u, w)
-    sk = forest_key(graft_with_map(representative(join_trees(k, [a, b])), u, w)[0])
-    return tree_body(sk.key), sk.sign
+    a onto leg w of the tree with body b, legs numbered within their trees.
+    The bodies are joined in sorted order; u's vertex becomes the new
+    internal vertex, w's stem moves to it, and a new edge joins it to w,
+    which keeps the color.  The graft's rotation (stem of u, stem of w, new
+    edge) is the ascending one exactly when u's stem comes first."""
+    (colors, ends), (colors2, ends2) = sorted((a, b))
+    n = len(colors)
+    u, w = (u, n + w) if a < b else (n + u, w)
+    colors, ends = [*colors, *colors2], [*ends, *(x + n for x in ends2)]
+    hu, hw = ends.index(u), ends.index(w)
+    colors[u], ends[hw] = 0, u
+    tree, sign = key_tree((tuple(colors), (*ends, u, w)), {})
+    return tree, sign if hu < hw else -sign
 
 
 def star_relators(basis):
     """The link relation at each leg u of each basis forest, in leg order:
     the grafts of u onto every other leg of its color sum to zero.  A graft
     of two trees sharing a color besides u's is boring, 0 and not built, so
-    a leg whose color no other leg has gets the zero element at once."""
+    a leg whose color no other leg has gets the zero element at once.  A
+    forest key's colors are slot colors with p = 0, so slot_trees finds the
+    trees with a leg of each color."""
     grafts = {}
     for key in basis:
-        k, name, trees = key[1], key.hex(), split_trees(key)
-        bodies = [body for _, body in trees]
-        order, legs, masks = [], {}, []     # legs in label order, by color; leg colors per tree
-        joined = {}                         # the forest grafting each pair of legs makes
-        for t, (off, (colors, _)) in enumerate(trees):
-            masks.append(sum(1 << c for c in colors if c))
-            for i, c in enumerate(colors):
-                if c:
-                    order.append((off + i, c, t))
-                    legs.setdefault(c, []).append((off + i, t))
-        for u, color, a in order:
-            terms = {}
-            for w, b in legs[color]:
-                if w != u and _interesting_graft(masks, a, b, color):
-                    g = (bodies[a], bodies[b], u - trees[a][0], w - trees[b][0])
-                    if (made := grafts.get(g)) is None:
-                        made = grafts[g] = _graft(k, *g)
-                    # grafting w onto u gives the same forest, with the other sign
-                    if (forest := joined.get((w, u))) is None:
-                        rest = [body for t, body in enumerate(bodies) if t != a and t != b]
-                        forest = joined[u, w] = join_trees(k, rest + [made[0]])
-                    _add(terms, forest, made[1])
-            yield Relator(f"star:{name}:{u}", _element(terms))
+        k, name = key[1], key.hex()
+        bodies, segs, masks = slot_trees(key, k)
+        pairs = {}              # (a, b) -> the term grafting a leg of tree a onto tree b
+        off = 0                 # the label of tree a's root
+        for a, (colors, _) in enumerate(bodies):
+            for u, color in enumerate(colors):
+                if not color:
+                    continue
+                terms = {}
+                # a tree shares all its colors with itself, so b != a
+                for b in segs[color]:
+                    # grafting b's leg onto a's gives the same forest, with the other sign
+                    if (term := pairs.get((b, a))) is not None:
+                        _add(terms, term[0], -term[1])
+                    elif _interesting_graft(masks, a, b, color):
+                        g = bodies[a], bodies[b], u, bodies[b][0].index(color)
+                        if (made := grafts.get(g)) is None:
+                            made = grafts[g] = _graft(*g)
+                        term = pairs[a, b] = joined(b"", k, bodies, (a, b), [made])
+                        _add(terms, *term)
+                yield Relator(f"star:{name}:{off + u}", _element(terms))
+            off += len(colors)
 
 
-def _rotate_to_front(rot, h):
-    i = rot.index(h)
-    return rot[i:] + rot[:i]
-
-
-def _with_rotations(D: Diagram, x, rot_x, y, rot_y) -> Diagram:
-    """D with new rotations at its adjacent internal vertices x and y, which
-    trade half-edges but keep the components."""
-    inc = list(D.incidence)
-    inc[x], inc[y] = tuple(rot_x), tuple(rot_y)
-    return Diagram._assemble(D.k, D.colors, tuple(inc), D.components())
-
-
-def _exchange(k, body, e: int) -> list:
-    """[(body, sign) of H, of X] for the exchange at the internal edge e of
-    the tree with this body, keyed on the tree's representative."""
-    D = representative(join_trees(k, [body]))
-    h, hp = 2 * e, 2 * e + 1
-    x, y = D.vertex_of(h), D.vertex_of(hp)
-    _, a1, a2 = _rotate_to_front(D.incidence[x], h)
-    _, b1, b2 = _rotate_to_front(D.incidence[y], hp)
-    sks = (forest_key(_with_rotations(D, x, (h, a1, b1), y, (hp, a2, b2))),
-           forest_key(_with_rotations(D, x, (h, a2, b1), y, (hp, a1, b2))))
-    return [(tree_body(sk.key), sk.sign) for sk in sks]
+def _exchange(body, e: int):
+    """(body, sign) of H, then of X, for the exchange at the internal edge e of
+    the canonical tree body.  With h = 2e at x and h+1 at y, the rotations
+    are (h, a1, a2) at x and (h+1, b1, b2) at y; H moves b1 to x and a2 to
+    y, X moves b1 to x and a1 to y, and a new rotation that is not the
+    ascending one negates the sign."""
+    colors, ends = body
+    h = 2 * e
+    x, y = ends[h], ends[h + 1]
+    at_x = [j for j, v in enumerate(ends) if v == x]
+    i = at_x.index(h)
+    _, a1, a2 = at_x[i:] + at_x[:i]
+    # y is x's child, so its other edges sort after e
+    _, b1, b2 = [j for j, v in enumerate(ends) if v == y]
+    for kept, moved in ((a1, a2), (a2, a1)):
+        new = list(ends)
+        new[b1], new[moved] = x, y
+        tree, sign = key_tree((colors, tuple(new)), {})
+        yield tree, sign if _ascending(h, kept, b1) == _ascending(h + 1, moved, b2) else -sign
 
 
 def ihx_relators(basis):
@@ -155,7 +169,7 @@ def ihx_relators(basis):
                 if colors[ends[2 * e]] or colors[ends[2 * e + 1]]:
                     continue
                 if (made := moves.get((body, e))) is None:
-                    made = moves[body, e] = _exchange(k, body, e)
+                    made = moves[body, e] = tuple(_exchange(body, e))
                 terms = {key: 1}
                 for (tree, sign), c in zip(made, (-1, 1)):
                     _add(terms, join_trees(k, rest + [tree]), c * sign)
@@ -184,7 +198,7 @@ def stu_relators(basis):
                 upper, lower = p * k + s, (p + 1) * k + s
                 terms = {key: -1}
                 swap = bytes.maketrans(bytes([upper, lower]), bytes([lower, upper]))
-                _add(terms, *joined(key, K, bodies, (a, b), [
+                _add(terms, *joined(key[:2], K, bodies, (a, b), [
                     key_tree(recolored(bodies[t], swap), keyed) for t in (a, b)]))
                 if _interesting_graft(masks, a, b, s):
                     end = len(seg) * k + s
@@ -192,8 +206,8 @@ def stu_relators(basis):
                     ra, rb = recolored(bodies[a], up), recolored(bodies[b], up)
                     g = ra, rb, ra[0].index(upper), rb[0].index(upper)
                     if (made := grafts.get(g)) is None:
-                        made = grafts[g] = _graft(K - k, *g)
-                    _add(terms, *joined(key, K - k, bodies, seg[p:], [made] + [
+                        made = grafts[g] = _graft(*g)
+                    _add(terms, *joined(key[:2], K - k, bodies, seg[p:], [made] + [
                         key_tree(recolored(bodies[t], up), keyed) for t in seg[p + 2:]]))
                 yield Relator(f"stu:{key.hex()}:{s}:{p}", _element(terms))
 
@@ -216,7 +230,7 @@ def link1_relators(basis):
                     cycle = bytes.maketrans(bytes(range(s, end, k)),
                                             bytes([end - k, *range(s, end - k, k)]))
                     terms = {key: -1}
-                    _add(terms, *joined(key, K, bodies, seg, [
+                    _add(terms, *joined(key[:2], K, bodies, seg, [
                         key_tree(recolored(bodies[t], cycle), keyed) for t in seg]))
                 yield Relator(f"link1:{key.hex()}:{s}", _element(terms))
 

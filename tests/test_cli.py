@@ -405,6 +405,19 @@ def test_bounded_dim_bytes_are_pinned():
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_BOUNDED_DIMS
 
 
+# the concatenated enumerate --space forest --json output at k = 1..4 with
+# d = 0..3 and then at k = 5, d = 3: the documents of the basis keys, which
+# the command rebuilds unchecked
+PINNED_FOREST_DOCS = (479, "e61d2374d667d24f7ef86deb4d73a35dc637dc762aa571d19ec1e163e00dbd00")
+
+
+def test_enumerate_forest_bytes_are_pinned():
+    cells = [(k, d) for k in range(1, 5) for d in range(4)] + [(5, 3)]
+    out = "".join(_main_stdout("--json", "enumerate", "--space", "forest", "-k", str(k), "-d", str(d))
+                  for k, d in cells)
+    assert (len(out.splitlines()), hashlib.sha256(out.encode()).hexdigest()) == PINNED_FOREST_DOCS
+
+
 # the concatenated enumerate --space bounded --json output at k = 1..3 with
 # d = 0..3 and then at k = 4, d = 3; and the concatenated chi -k 4 --json
 # output on the document of each basis forest of enumerate --space forest

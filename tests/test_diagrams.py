@@ -34,7 +34,6 @@ from linkhom.diagrams import (
     canonical_diagram,
     canonicalize,
     empty,
-    graft_with_map,
     inject,
     is_boring,
     representative,
@@ -84,10 +83,40 @@ def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
     product that the key path (join_trees of tree bodies) is checked against."""
     if a.k != b.k:
         raise DiagramError("disjoint union needs equal k")
-    shift, n = 2 * a.n_edges, a.n
+    shift = 2 * a.n_edges
     inc = a.incidence + tuple(tuple(h + shift for h in t) for t in b.incidence)
-    comps = a.components() + tuple(tuple(v + n for v in c) for c in b.components())
-    return Diagram._assemble(a.k, a.colors + b.colors, inc, comps)
+    return Diagram._assemble(a.k, a.colors + b.colors, inc)
+
+
+def graft_with_map(E: Diagram, u: int, w: int):
+    """Graft two same-colored legs at a new internal vertex with a fresh leg:
+    the graft that the tree-body surgery (relators._graft) is checked against.
+
+    Legs u and w are deleted, their stems meet a new trivalent vertex whose
+    rotation is (stem of u, stem of w, new leg), and the third edge ends in a
+    new leg of the same color.  Degree is preserved, and swapping u and w
+    negates the class.  Returns the new diagram, the old-to-new vertex map for
+    the surviving vertices, and the new leaf's id.
+    """
+    if u == w or E.colors[u] is None or E.colors[w] is None:
+        raise DiagramError("graft needs two distinct legs")
+    color = E.colors[u]
+    if color != E.colors[w]:
+        raise DiagramError("graft needs legs of one color")
+    idmap = {}
+    colors, incidence = [], []
+    for v in range(E.n):
+        if v in (u, w):
+            continue
+        idmap[v] = len(colors)
+        colors.append(E.colors[v])
+        incidence.append(E.incidence[v])
+    stem_u, stem_w = E.incidence[u][0], E.incidence[w][0]
+    fresh = 2 * E.n_edges
+    leaf = len(colors) + 1
+    colors += [None, color]
+    incidence += [(stem_u, stem_w, fresh), (fresh + 1,)]
+    return Diagram._assemble(E.k, tuple(colors), tuple(incidence)), idmap, leaf
 
 
 def _tadpole(k=2):

@@ -34,7 +34,6 @@ from linkhom.diagrams import (
     build,
     canonical_diagram,
     empty,
-    graft_with_map,
     is_boring,
 )
 from linkhom.lincomb import LinComb
@@ -45,10 +44,11 @@ from test_diagrams import (
     cycle_segment,
     disjoint_union,
     graft_adjacent_legs,
+    graft_with_map,
     slot_colors,
     swap_adjacent_legs,
 )
-from test_relators import internal_edges, trees_of
+from test_relators import exchanged, internal_edges, trees_of
 
 
 # -- Oracle -------------------------------------------------------------------
@@ -125,24 +125,11 @@ def _star(key):
     return out
 
 
-def _with_rotations(D, x, rot_x, y, rot_y):
-    inc = list(D.incidence)
-    inc[x], inc[y] = rot_x, rot_y
-    return Diagram(D.k, D.colors, tuple(inc))
-
-
 def _ihx(key):
     D = canonical_diagram(key)
     out = {}
     for e in internal_edges(D):
-        h, hp = 2 * e, 2 * e + 1
-        x, y = D.vertex_of(h), D.vertex_of(hp)
-        rx, ry = list(D.incidence[x]), list(D.incidence[y])
-        rx, ry = rx[rx.index(h):] + rx[:rx.index(h)], ry[ry.index(hp):] + ry[:ry.index(hp)]
-        _, a1, a2 = rx
-        _, b1, b2 = ry
-        term_h = _with_rotations(D, x, (h, a1, b1), y, (hp, a2, b2))
-        term_x = _with_rotations(D, x, (h, a2, b1), y, (hp, a1, b2))
+        term_h, term_x = exchanged(D, e)
         out[f"ihx:{key.hex()}:{e}"] = _inject(D) - _inject(term_h) + _inject(term_x)
     return out
 

@@ -4,6 +4,12 @@ Core claims:
     - grafting is antisymmetric in its two legs
     - the star relator from a split of tripod(1,2,3) + m copies of
       segment(1,2) is exactly +-(1+m) times the original diagram
+    - each graft and exchange, done on tree bodies and keyed by key_tree,
+      equals graft_with_map or the rotation edit on the representative of
+      the trees' forest, keyed whole: every graft of two tree bodies of a
+      forest at k <= 5, d <= 4 that share one leg color, every graft STU
+      makes on the slot colors of ahl 4/3, and every internal edge of those
+      bodies
     - star and IHX relators, built on tree bodies with grafts and exchanges
       keyed once per tree, equal the whole-forest oracle kept here (every
       term grafted or exchanged in the forest's representative and the
@@ -32,14 +38,18 @@ import pytest
 from linkhom.bases import enum_forests
 from linkhom.bounded import enum_bounded
 from linkhom.chords import enum_chord, has_isolated_chord, pairing_key
+from linkhom import relators
 from linkhom.diagrams import (
+    Diagram,
     canonicalize,
     empty,
     forest_key,
-    graft_with_map,
     inject,
+    join_trees,
     representative,
     segment,
+    split_trees,
+    tree_body,
     tripod,
 )
 from linkhom.errors import DiagramError, VerificationError
@@ -47,10 +57,10 @@ from linkhom.lincomb import LinComb
 from linkhom.qlinalg import relator_matrix
 from linkhom.relators import (
     Relator,
+    _exchange,
     _four_t_placements,
+    _graft,
     _interesting_graft,
-    _rotate_to_front,
-    _with_rotations,
     four_t_relators,
     four_t_relators_mod_1t,
     ihx_relators,
@@ -60,7 +70,7 @@ from linkhom.relators import (
     stu_relators,
 )
 from linkhom.spaces import relator_by_id
-from test_diagrams import disjoint_union
+from test_diagrams import disjoint_union, graft_with_map
 from test_enumeration import tuple_pairing_key
 
 
@@ -112,15 +122,30 @@ def internal_edges(D):
             if D.colors[D.edge_ends(e)[0]] is None and D.colors[D.edge_ends(e)[1]] is None]
 
 
-def ihx_relator(D, e, key):
-    """I - H + X at the internal edge e of D, the representative of key."""
+def exchanged(D, e):
+    """[H, X] of the exchange at the internal edge e of D, validated.  With
+    D's rotations (h, a1, a2) at one end of e and (h', b1, b2) at the other,
+    h and h' the halves of e, H takes (h, a1, b1) and (h', a2, b2), and X
+    takes (h, a2, b1) and (h', a1, b2)."""
     h, hp = 2 * e, 2 * e + 1
     x, y = D.vertex_of(h), D.vertex_of(hp)
-    _, a1, a2 = _rotate_to_front(D.incidence[x], h)
-    _, b1, b2 = _rotate_to_front(D.incidence[y], hp)
+    rx, ry = D.incidence[x], D.incidence[y]
+    _, a1, a2 = rx[rx.index(h):] + rx[:rx.index(h)]
+    _, b1, b2 = ry[ry.index(hp):] + ry[:ry.index(hp)]
+    terms = []
+    for rot_x, rot_y in (((h, a1, b1), (hp, a2, b2)), ((h, a2, b1), (hp, a1, b2))):
+        inc = list(D.incidence)
+        inc[x], inc[y] = rot_x, rot_y
+        terms.append(Diagram(D.k, D.colors, tuple(inc)))
+    return terms
+
+
+def ihx_relator(D, e, key):
+    """I - H + X at the internal edge e of D, the representative of key."""
+    term_h, term_x = exchanged(D, e)
     terms = {key: 1}
-    _add(terms, forest_key(_with_rotations(D, x, (h, a1, b1), y, (hp, a2, b2))), -1)
-    _add(terms, forest_key(_with_rotations(D, x, (h, a2, b1), y, (hp, a1, b2))))
+    _add(terms, forest_key(term_h), -1)
+    _add(terms, forest_key(term_x))
     return Relator(f"ihx:{key.hex()}:{e}", LinComb(terms))
 
 
@@ -263,6 +288,62 @@ def test_star_and_ihx_relators_match_the_whole_forest_oracle(k, d, m):
         assert r.element == w.element, r.rid
         # the terms were also met in the same order
         assert list(r.element._terms) == list(w.element._terms), r.rid
+
+
+# -- Surgery on tree bodies -----------------------------------------------------------
+#
+# The library grafts and exchanges on tree bodies and keys the edited body by
+# key_tree.  Each surgery is checked here by itself against the same surgery
+# on the representative of the trees' forest, keyed whole, so a failure names
+# the bodies and the legs or the edge.
+
+# every tree of a forest at k <= 5, d <= 4: each one is a forest by itself
+SURGERY_BODIES = sorted({body for d in range(5) for key in enum_forests(5, d)
+                         for _, body in split_trees(key)})
+
+
+def graft_oracle(a, b, u, w):
+    """(body, sign) of grafting leg u of the tree body a onto leg w of b by
+    graft_with_map on the representative of their forest, keyed whole."""
+    u, w = (u, len(a[0]) + w) if a < b else (len(b[0]) + u, w)
+    sk = forest_key(graft_with_map(representative(join_trees(max(a[0] + b[0]), [a, b])), u, w)[0])
+    return tree_body(sk.key), sk.sign
+
+
+def test_graft_on_tree_bodies_matches_graft_with_map():
+    # ordered pairs, so both (a, b) and (b, a); a tree shares all its colors
+    # with itself, so a body never pairs with itself
+    grafts = [(a, b, a[0].index(c), b[0].index(c))
+              for a in SURGERY_BODIES for b in SURGERY_BODIES
+              if len(shared := set(a[0]) & set(b[0]) - {0}) == 1 for c in shared]
+    assert len(grafts) == 330
+    for g in grafts:
+        assert _graft(*g) == graft_oracle(*g), g
+
+
+def test_stu_grafts_on_slot_colors_match_graft_with_map(monkeypatch):
+    made = []
+
+    def recorded(*g):
+        made.append(g)
+        return _graft(*g)
+
+    monkeypatch.setattr(relators, "_graft", recorded)
+    list(stu_relators(enum_bounded(4, 3)))
+    assert len(made) == 192
+    for g in made:
+        assert _graft(*g) == graft_oracle(*g), g
+
+
+def test_exchange_on_tree_bodies_matches_the_rotation_edit():
+    edges = 0
+    for body in SURGERY_BODIES:
+        D = representative(join_trees(max(body[0]), [body]))
+        for e in internal_edges(D):
+            edges += 1
+            want = [(tree_body(sk.key), sk.sign) for sk in map(forest_key, exchanged(D, e))]
+            assert list(_exchange(body, e)) == want, (body, e)
+    assert edges == 45
 
 
 # -- IHX ----------------------------------------------------------------------------

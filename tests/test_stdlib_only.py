@@ -13,6 +13,9 @@ Core claims:
     - every public module-level function or class outside __init__.py is
       referenced in the library, by name, attribute or from-import, or is
       exported in linkhom.__all__
+    - relators.py builds no Diagram and keys no whole forest: it imports
+      neither the diagrams module nor its Diagram constructors and forest
+      keyers, so every term is a tree body keyed by key_tree
 """
 
 import ast
@@ -118,3 +121,17 @@ def test_every_public_definition_is_used_or_exported():
     assert len(defined) > 70
     unused = [f"{name}: {public}" for name, public in defined if public not in used]
     assert not unused, f"defined, never referenced in the library and not exported: {unused}"
+
+
+def test_relators_key_terms_by_key_tree_alone():
+    path = Path(linkhom.__file__).parent / "relators.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    assert ".diagrams" not in names
+    banned = {f"diagrams.{name}" for name in ("Diagram", "build", "canonical_diagram",
+                                              "canonicalize", "forest_key", "representative")}
+    assert not names & banned, sorted(names & banned)
+    assert {name for name in names if name.startswith("diagrams.")} == {
+        "diagrams.join_trees", "diagrams.key_tree", "diagrams.recolored", "diagrams.split_trees"}
