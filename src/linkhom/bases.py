@@ -3,9 +3,10 @@
 The homotopy basis in a given degree is the set of forests whose components
 are trees with pairwise distinct leaf colors.  Trees on a fixed leaf set are
 generated by the classic leaf-insertion recursion (each unitrivalent tree
-arises exactly once), then canonicalized; forests are multisets of tree
-components with the prescribed total degree, and a forest's key is joined
-from its trees' keys without building the forest.
+arises exactly once), and each is keyed as a tree body by
+diagrams.key_tree; forests are multisets of tree components with the
+prescribed total degree, and a forest's key is joined from its trees' keys.
+No Diagram is built.
 
 The support of a forest is the set of colors its legs use.  A support block
 holds the forests whose support is exactly {1..m}; a tree of degree n has
@@ -16,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 
-from . import diagrams
-from .diagrams import canonicalize, join_trees, tree_body
+from .diagrams import join_trees, key_tree
+from .errors import DiagramError
 
 
 def _raw_trees(colors):
@@ -43,12 +44,21 @@ def _raw_trees(colors):
     return trees
 
 
+def _tree_bodies(colors) -> list:
+    """Sorted canonical bodies of all trees whose legs carry exactly these
+    distinct colors, each met once."""
+    keyed = {}
+    return sorted(key_tree((tuple(c or 0 for c in verts), tuple(x for e in edges for x in e)),
+                           keyed)[0] for verts, edges in _raw_trees(colors))
+
+
 def trees_on_colors(colors, k) -> list:
-    """Canonical keys of all trees whose legs carry exactly these colors."""
-    out = set()
-    for verts, edges in _raw_trees(tuple(colors)):
-        out.add(canonicalize(diagrams.build(k, verts, edges)).key)
-    return sorted(out)
+    """Canonical keys of all trees whose legs carry exactly these colors,
+    which must be distinct and in 1..k."""
+    colors = tuple(colors)
+    if len(set(colors)) < len(colors) or not set(colors) <= set(range(1, k + 1)):
+        raise DiagramError(f"tree colors {colors} are not distinct colors in 1..{k}")
+    return [join_trees(k, [body]) for body in _tree_bodies(colors)]
 
 
 def enum_forests(k: int, d: int, support: int | None = None) -> list:
@@ -71,8 +81,8 @@ def enum_forests(k: int, d: int, support: int | None = None) -> list:
     for n in range(1, min(d, palette - 1) + 1):
         for colors in itertools.combinations(range(1, palette + 1), n + 1):
             mask = sum(1 << (c - 1) for c in colors)
-            for key in trees_on_colors(colors, k):
-                types.append((n, mask, tree_body(key)))
+            for body in _tree_bodies(colors):
+                types.append((n, mask, body))
 
     # each multiset of types is one forest, met once
     found = []

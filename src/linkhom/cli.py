@@ -23,7 +23,7 @@ from . import interchange
 from . import relators as rel
 from . import spaces
 from .bases import enum_forests
-from .diagrams import inject, representative
+from .diagrams import canonical_diagram, inject
 from .errors import BudgetError, DiagramError, ParseError, UsageError, VerificationError
 from .lincomb import LinComb, doc_field, terms_doc
 from .qlinalg import certificate_doc, certificate_from_doc, relator_matrix
@@ -77,7 +77,7 @@ def _cmd_enumerate(args) -> int:
         keys, doc = ch.enum_chord(args.d), interchange.chord_doc
     elif space == "forest":
         keys, doc = (enum_forests(args.k, args.d),
-                     lambda key: interchange.serialize(representative(key)))
+                     lambda key: interchange.serialize(canonical_diagram(key)))
     else:
         keys, doc = bnd.enum_bounded(args.k, args.d), interchange.bounded_doc
     lines = [_dump({"key": key.hex(), "diagram": doc(key)}) for key in keys]

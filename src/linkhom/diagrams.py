@@ -35,14 +35,15 @@ Half-edge convention: edge e owns half-edges 2e and 2e+1, the mate of h is
 h ^ 1, and every half-edge is incident to exactly one vertex.  All values are
 immutable; operations build new diagrams.
 
-Construction paths: Diagram(...), build (and through it canonical_diagram,
-which reads keys that may come from a document) validate their input.
-representative rebuilds a key the library made with Diagram._assemble,
-which computes the half-edge owners without re-checking what the key
-guarantees.  join_trees, split_trees and recolored work on keys and tree
-bodies and build no diagram; key_tree keys a tree body through its
-representative, so a surgery on tree bodies (the relators' grafts and
-exchanges) is keyed without a Diagram of its own.
+Construction paths: a Diagram is made one way, by the validating
+constructor, directly or through build (and canonical_diagram, which reads
+keys that may come from a document).  join_trees, split_trees and recolored
+work on keys and tree bodies and build no diagram.  forest_key and key_tree
+share one walk (_walk_tree) over a color per vertex, the owner of each
+half-edge and each vertex's rotation: forest_key reads them off a Diagram,
+and key_tree off a tree body, whose ends are its owners and whose rotations
+are ascending.  So a surgery on tree bodies (the enumerated trees, the
+relators' grafts and exchanges) is keyed without a Diagram.
 """
 
 from __future__ import annotations
@@ -85,19 +86,6 @@ class Diagram:
         for comp in self._components:
             if not any(self.colors[v] is not None for v in comp):
                 raise DiagramError("every component needs at least one leg")
-
-    @classmethod
-    def _assemble(cls, k, colors, incidence) -> "Diagram":
-        """A diagram built from parts that are already valid, unchecked: the
-        half-edge owners are read off the incidence, and the components are
-        found when first asked for."""
-        owner = [0] * sum(map(len, incidence))
-        for v, inc in enumerate(incidence):
-            for h in inc:
-                owner[h] = v
-        D = object.__new__(cls)
-        D.__dict__.update(k=k, colors=colors, incidence=incidence, _owner=tuple(owner))
-        return D
 
     # -- basic structure -------------------------------------------------
 
@@ -236,22 +224,11 @@ class SignedCanonicalKey:
     key: bytes
     sign: int
 
-    @property
-    def hex(self) -> str:
-        return self.key.hex()
-
 
 _TAG_UNITRI = 0x55
 
 #: Largest value of a one-byte key field.
 KEY_BYTE_MAX = 255
-
-
-def tree_body(key: bytes) -> tuple:
-    """The body of a tree's key, (vertex colors, edge label pairs flattened),
-    as join_trees takes it."""
-    n = key[2]
-    return tuple(key[4:4 + n]), tuple(key[4 + n:])
 
 
 def join_trees(k, trees) -> bytes:
@@ -288,14 +265,11 @@ def split_trees(key: bytes) -> list:
     return trees
 
 
-def forest_key(D: Diagram) -> SignedCanonicalKey:
-    """Canonical key of a diagram known to be a forest whose trees have
-    distinct leg colors, unchecked (canonicalize checks); joined from its
-    trees' keys, with the product of their signs."""
-    if D.n > KEY_BYTE_MAX:      # also bounds the walk's recursion depth
-        raise DiagramError("diagram too large to encode")
-    colors, owner, inc = D.colors, D._owner, D.incidence
-    up_of = [0] * D.n       # the half-edge through which the walk entered
+def _walk_tree(colors, owner, inc, root):
+    """(canonical body, sign) of the tree of the leg root: colors per vertex,
+    falsy at an internal vertex; owner, the vertex of each half-edge; inc,
+    each vertex's half-edges in rotation order."""
+    parent = {}
     flips = 0
 
     def walk(v, up):
@@ -303,8 +277,8 @@ def forest_key(D: Diagram) -> SignedCanonicalKey:
         half-edge up; the subtree of the half-edge after up in v's rotation
         comes first unless its least color is the larger one (a flip)."""
         nonlocal flips
-        up_of[v] = up
-        if colors[v] is not None:
+        parent[v] = owner[up ^ 1]
+        if colors[v]:
             return colors[v], [v]
         h0, h1, h2 = inc[v]
         x, y = (h1, h2) if up == h0 else (h2, h0) if up == h1 else (h0, h1)
@@ -314,22 +288,31 @@ def forest_key(D: Diagram) -> SignedCanonicalKey:
             flips += 1
         return a[0], [v, *a[1], *b[1]]
 
-    label = [0] * D.n
-    trees = []
-    for comp in D.components():
-        root = min((v for v in comp if colors[v] is not None), key=colors.__getitem__)
-        h = inc[root][0]
-        order = [root, *walk(owner[h ^ 1], h ^ 1)[1]]
-        for i, v in enumerate(order):
-            label[v] = i
-        # every edge joins a vertex to its parent, which comes first
-        ends = sorted((label[owner[up_of[v] ^ 1]], label[v]) for v in order[1:])
-        trees.append((tuple(colors[v] or 0 for v in order), tuple(x for e in ends for x in e)))
+    h = inc[root][0]
+    order = [root, *walk(owner[h ^ 1], h ^ 1)[1]]
+    label = {v: i for i, v in enumerate(order)}
+    # every edge joins a vertex to its parent, which comes first
+    ends = sorted((label[parent[v]], label[v]) for v in order[1:])
     # The representative numbers edges in sorted order and takes rotations in
     # ascending half-edge order; at an internal vertex that is (parent,
     # first child, second child), so the input's rotation has parity -1
     # exactly at a flip.
     sign = -1 if flips & 1 else 1
+    return (tuple(colors[v] or 0 for v in order), tuple(x for e in ends for x in e)), sign
+
+
+def forest_key(D: Diagram) -> SignedCanonicalKey:
+    """Canonical key of a diagram known to be a forest whose trees have
+    distinct leg colors, unchecked (canonicalize checks); joined from its
+    trees' keys, with the product of their signs."""
+    if D.n > KEY_BYTE_MAX:      # also bounds the walk's recursion depth
+        raise DiagramError("diagram too large to encode")
+    colors, trees, sign = D.colors, [], 1
+    for comp in D.components():
+        root = min((v for v in comp if colors[v] is not None), key=colors.__getitem__)
+        tree, s = _walk_tree(colors, D._owner, D.incidence, root)
+        trees.append(tree)
+        sign *= s
     return SignedCanonicalKey(join_trees(D.k, trees), sign)
 
 
@@ -342,11 +325,16 @@ def recolored(body, table) -> tuple:
 def key_tree(body, keyed: dict) -> tuple:
     """(canonical body, sign) of a tree body whose leg colors are distinct
     but whose labels need not be canonical, keyed once per dict keyed, which
-    the caller drops on return.  A tree's key does not depend on the color
-    bound, so none is given."""
+    the caller drops on return.  The body stands for the tree whose
+    rotations are in ascending half-edge order, as a key's representative;
+    it is walked from its least-colored leg, with no Diagram built."""
     if (made := keyed.get(body)) is None:
-        sk = forest_key(representative(join_trees(0, [body])))
-        made = keyed[body] = (tree_body(sk.key), sk.sign)
+        colors, ends = body
+        inc = [[] for _ in colors]
+        for h, v in enumerate(ends):
+            inc[v].append(h)
+        root = colors.index(min(c for c in colors if c))
+        made = keyed[body] = _walk_tree(colors, ends, inc, root)
     return made
 
 
@@ -369,17 +357,6 @@ def canonical_diagram(key: bytes) -> Diagram:
     colors = tuple(c if c else None for c in key[4:4 + n])
     edges = [(key[4 + n + 2 * i], key[5 + n + 2 * i]) for i in range(m)]
     return build(k, colors, edges)
-
-
-def representative(key: bytes) -> Diagram:
-    """canonical_diagram of a key this library made, such as a basis key,
-    assembled unchecked."""
-    n = key[2]
-    incidence = [[] for _ in range(n)]
-    for h, v in enumerate(key[4 + n:]):
-        incidence[v].append(h)
-    return Diagram._assemble(key[1], tuple(c if c else None for c in key[4:4 + n]),
-                             tuple(map(tuple, incidence)))
 
 
 def inject(D: Diagram) -> LinComb:

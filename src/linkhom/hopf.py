@@ -6,8 +6,8 @@ bodies.  Coproducts sum over splittings of the chords of a key's pairing, or
 of the trees split_trees reads off a forest key.  A chord product depends on
 where each circle is cut, so the chord laws hold modulo 4T, not on keys; the
 forest laws hold on keys.  Tensors are LinCombs keyed by (left, right) key
-pairs, with int coefficients.  The operations take keys this library made,
-as representative does; no CLI path hands them a key read from a document.
+pairs, with int coefficients.  The operations take keys this library made
+and do not validate them; no CLI path hands them a key read from a document.
 """
 
 from __future__ import annotations

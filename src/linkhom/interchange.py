@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 
-from .diagrams import Diagram, build, representative
+from .diagrams import Diagram, build, canonical_diagram
 from .errors import ParseError
 
 
@@ -143,10 +143,10 @@ def bounded_doc(key: bytes) -> dict:
     """The graph of a bounded key this library made, its legs colored by
     segment, and each segment's legs top to bottom: slot color p*k + s is
     position p of segment s."""
-    k, inner = key[1], representative(key[2:])
+    k, inner = key[1], canonical_diagram(key[2:])
     colors, order = list(inner.colors), [[] for _ in range(k)]
     for c, v in sorted((c, v) for v, c in enumerate(inner.colors) if c):
         colors[v] = (c - 1) % k + 1
         order[colors[v] - 1].append(v)
-    graph = Diagram._assemble(k, tuple(colors), inner.incidence)
+    graph = Diagram(k, tuple(colors), inner.incidence)
     return {"k": k, "graph": serialize(graph), "order": order}

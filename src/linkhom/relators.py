@@ -14,8 +14,8 @@ All four relations on forests work on the trees of the basis key, each
 canonical with sign +1 (diagrams.split_trees).  A graft joins two tree
 bodies into one and an exchange moves two half-edge ends of one body; the
 edited body is keyed by diagrams.key_tree, and its sign is negated where
-the rotation the surgery asks for is not the ascending one its
-representative takes.  A term keys the changed trees alone and joins them
+the rotation the surgery asks for is not the ascending one the body
+stands for.  A term keys the changed trees alone and joins them
 to the untouched trees with the product of their signs; each call keys a
 tree pair and leg pair, or a tree and edge, once, in a dict it drops on
 return.  A bounded key's legs carry slot colors p*k + s (bounded.py), and
@@ -80,7 +80,7 @@ def _interesting_graft(masks, a: int, b: int, color: int) -> bool:
 
 def _ascending(p, q, r) -> bool:
     """Whether the rotation (p, q, r) is its half-edges in ascending order,
-    up to cycling: the rotation a representative takes."""
+    up to cycling: the rotation a tree body stands for at each vertex."""
     return (p < q) + (q < r) + (r < p) == 2
 
 

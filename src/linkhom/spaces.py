@@ -36,7 +36,7 @@ from . import bounded as bnd
 from . import chords as ch
 from . import relators as rel
 from .bases import enum_forests
-from .diagrams import KEY_BYTE_MAX, Diagram, canonical_diagram, canonicalize, is_boring, representative
+from .diagrams import KEY_BYTE_MAX, Diagram, canonical_diagram, canonicalize, is_boring
 from .errors import BudgetError, DiagramError, UsageError, VerificationError
 from .lincomb import LinComb
 from .qlinalg import MembershipCertificate, SparseRationalMatrix, relator_matrix, verify_certificate
@@ -224,7 +224,7 @@ def verify_main_theorem(k: int, max_degree: int, budget=None) -> list:
             if not cert.is_member:
                 raise VerificationError(
                     f"forest {key.hex()} of degree {d} escapes the relation span",
-                    witness=representative(key),
+                    witness=canonical_diagram(key),
                 )
             certs.append(cert)
     return certs

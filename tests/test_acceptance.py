@@ -31,7 +31,6 @@ from linkhom.diagrams import (
     canonical_diagram,
     canonicalize,
     empty,
-    representative,
     segment,
     tripod,
 )
@@ -140,7 +139,7 @@ def test_a3_star_coefficient():
             E = disjoint_union(E, part)
         # the leg is named in the canonical representative, as relator ids name it
         key = canonicalize(E).key
-        E = representative(key)
+        E = canonical_diagram(key)
         u = next(
             v for v, c in E.legs()
             if c == 1 and any(

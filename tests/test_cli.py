@@ -407,7 +407,7 @@ def test_bounded_dim_bytes_are_pinned():
 
 # the concatenated enumerate --space forest --json output at k = 1..4 with
 # d = 0..3 and then at k = 5, d = 3: the documents of the basis keys, which
-# the command rebuilds unchecked
+# the command rebuilds with canonical_diagram
 PINNED_FOREST_DOCS = (479, "e61d2374d667d24f7ef86deb4d73a35dc637dc762aa571d19ec1e163e00dbd00")
 
 

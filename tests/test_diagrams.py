@@ -3,6 +3,9 @@
 Core claims:
     - build() validates half-edge bookkeeping and rejects malformed input
     - canonical keys are invariant under vertex/edge relabeling
+    - key_tree, walking a tree body's half-edge arrays, gives the body and
+      sign forest_key gives the same tree built as a Diagram, on every tree
+      from leaf insertion on 2..7 legs
     - the canonical sign flips under a single rotation transposition, and is
       always +1 or -1: it changes by (-1)^r under r rotation reversals
     - canonicalize rejects a cycle or a repeated leg color within a component,
@@ -34,10 +37,12 @@ from linkhom.diagrams import (
     canonical_diagram,
     canonicalize,
     empty,
+    forest_key,
     inject,
     is_boring,
-    representative,
+    key_tree,
     segment,
+    split_trees,
     tripod,
 )
 from linkhom.errors import DiagramError
@@ -85,7 +90,7 @@ def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
         raise DiagramError("disjoint union needs equal k")
     shift = 2 * a.n_edges
     inc = a.incidence + tuple(tuple(h + shift for h in t) for t in b.incidence)
-    return Diagram._assemble(a.k, a.colors + b.colors, inc)
+    return Diagram(a.k, a.colors + b.colors, inc)
 
 
 def graft_with_map(E: Diagram, u: int, w: int):
@@ -116,7 +121,7 @@ def graft_with_map(E: Diagram, u: int, w: int):
     leaf = len(colors) + 1
     colors += [None, color]
     incidence += [(stem_u, stem_w, fresh), (fresh + 1,)]
-    return Diagram._assemble(E.k, tuple(colors), tuple(incidence)), idmap, leaf
+    return Diagram(E.k, tuple(colors), tuple(incidence)), idmap, leaf
 
 
 def _tadpole(k=2):
@@ -245,7 +250,7 @@ def bounded_key(D: Diagram, order) -> SignedCanonicalKey:
 def bounded_from_key(key: bytes) -> BoundedDiagram:
     """The representative of a bounded key, validated."""
     k = key[1]
-    inner = representative(key[2:])
+    inner = canonical_diagram(key[2:])
     colors, slots = [], {}
     for v, c in enumerate(inner.colors):
         if c is None:
@@ -520,21 +525,6 @@ def test_diagram_constructor_validates(colors, incidence):
         Diagram(2, colors, incidence)
 
 
-def test_assembled_diagrams_equal_validated_ones():
-    # disjoint_union, graft_with_map and representative skip validation; a
-    # validated rebuild has the same owners and components
-    D = disjoint_union(tripod(1, 2, 3, 4), segment(1, 4, 4))
-    G = graft_with_map(D, 0, 4)[0]
-    R = representative(canonicalize(G).key)
-    for X in (D, G, R):
-        Y = Diagram(X.k, X.colors, X.incidence)
-        assert Y == X
-        assert [Y.vertex_of(h) for h in range(2 * Y.n_edges)] == \
-            [X.vertex_of(h) for h in range(2 * X.n_edges)]
-        assert Y.components() == X.components()
-    assert R == canonical_diagram(canonicalize(G).key)
-
-
 def test_build_default_rotation_is_edge_order():
     D = build(3, [1, 2, 3, None], [(0, 3), (1, 3), (2, 3)])
     E = build(3, [1, 2, 3, None], [(0, 3), (1, 3), (2, 3)], {3: (0, 1, 2)})
@@ -612,6 +602,28 @@ def test_canonical_diagram_round_trip():
     key = canonicalize(D)
     C = canonical_diagram(key.key)
     assert canonicalize(C).key == key.key
+
+
+def test_key_tree_matches_forest_key_on_every_raw_tree():
+    # each tree from leaf insertion on 2..7 legs, its legs colored from a
+    # shuffled palette and its vertices, edges and edge ends permuted; the
+    # body's rotations are ascending, as build's are without rotations
+    rng, k, trees = random.Random(22), 9, 0
+    for legs in range(2, 8):
+        for verts, edges in _raw_trees(tuple(range(1, legs + 1))):
+            palette = rng.sample(range(1, k + 1), legs)
+            perm = list(range(len(verts)))
+            rng.shuffle(perm)
+            colors = [None] * len(verts)
+            for v, c in enumerate(verts):
+                colors[perm[v]] = c and palette[c - 1]
+            edges = [(perm[u], perm[v])[::rng.choice((1, -1))] for u, v in edges]
+            rng.shuffle(edges)
+            sk = forest_key(build(k, colors, edges))
+            body = (tuple(c or 0 for c in colors), tuple(x for e in edges for x in e))
+            assert key_tree(body, {}) == (split_trees(sk.key)[0][1], sk.sign), (colors, edges)
+            trees += 1
+    assert trees == 1 + 1 + 3 + 15 + 105 + 945
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

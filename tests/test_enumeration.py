@@ -36,9 +36,9 @@ from linkhom.diagrams import (
     forest_key,
     is_boring,
     join_trees,
-    representative,
     split_trees,
 )
+from linkhom.errors import DiagramError
 from test_diagrams import bounded_from_key, bounded_key
 
 
@@ -161,10 +161,10 @@ def test_split_trees_inverts_join_trees(k, d):
         assert join_trees(k, [body for _, body in trees]) == key
         # the label blocks are the representative's trees, in block order
         blocks = [tuple(range(off, off + len(body[0]))) for off, body in trees]
-        assert tuple(blocks) == representative(key).components(), key.hex()
+        assert tuple(blocks) == canonical_diagram(key).components(), key.hex()
         for _, body in trees:
             tree = join_trees(k, [body])
-            assert forest_key(representative(tree)) == SignedCanonicalKey(tree, 1)
+            assert forest_key(canonical_diagram(tree)) == SignedCanonicalKey(tree, 1)
 
 
 def test_split_trees_keeps_repeated_trees():
@@ -192,6 +192,24 @@ def test_trees_on_colors_double_factorial():
     assert len(trees_on_colors((1, 2, 3), 3)) == 1
     assert len(trees_on_colors((1, 2, 3, 4), 4)) == 3
     assert len(trees_on_colors((1, 2, 3, 4, 5), 5)) == 15
+
+
+@pytest.mark.parametrize("colors, k", [((1, 1, 2), 2), ((1, 2, 5), 4), ((0, 1, 2), 2)],
+                         ids=["repeated", "above-k", "zero"])
+def test_trees_on_colors_rejects_colors_that_are_not_distinct_in_1_to_k(colors, k):
+    with pytest.raises(DiagramError):
+        trees_on_colors(colors, k)
+
+
+@pytest.mark.parametrize("colors", [(1,), ()], ids=["one", "none"])
+def test_trees_on_colors_needs_two_legs(colors):
+    with pytest.raises(ValueError):
+        trees_on_colors(colors, 2)
+
+
+def test_trees_on_colors_takes_colors_in_any_order():
+    assert trees_on_colors((2, 1, 3), 3) == trees_on_colors((1, 2, 3), 3)
+    assert len(trees_on_colors((2, 1, 3), 3)) == 1
 
 
 def test_components_have_distinct_colors():

@@ -117,7 +117,7 @@ def subdiagram(D: Diagram, comps) -> Diagram:
     becomes 2 * new(e) + b."""
     keep = sorted(v for comp in comps for v in comp)
     new = {e: i for i, e in enumerate(sorted({h // 2 for v in keep for h in D.incidence[v]}))}
-    return Diagram._assemble(D.k, tuple(D.colors[v] for v in keep), tuple(
+    return Diagram(D.k, tuple(D.colors[v] for v in keep), tuple(
         tuple(2 * new[h // 2] + h % 2 for h in D.incidence[v]) for v in keep))
 
 

@@ -41,15 +41,14 @@ from linkhom.chords import enum_chord, has_isolated_chord, pairing_key
 from linkhom import relators
 from linkhom.diagrams import (
     Diagram,
+    canonical_diagram,
     canonicalize,
     empty,
     forest_key,
     inject,
     join_trees,
-    representative,
     segment,
     split_trees,
-    tree_body,
     tripod,
 )
 from linkhom.errors import DiagramError, VerificationError
@@ -154,7 +153,7 @@ def oracle_relators(basis):
     in the library's order."""
     stars, ihxs = [], []
     for key in basis:
-        D = representative(key)
+        D = canonical_diagram(key)
         stars += [star_relator(D, u, key) for u, _ in D.legs()]
         ihxs += [ihx_relator(D, e, key) for e in internal_edges(D)]
     return stars + ihxs
@@ -246,7 +245,7 @@ def test_star_relator_coefficient_identity(m):
     # split tripod(1,2,3) |_| m seg(1,2) at the color-1 leaf and close it up:
     # every graft lands on the same class, so the relator is +-(1+m) times it
     key = canonicalize(_union([segment(1, 3, 3)] + [segment(1, 2, 3)] * (1 + m), 3)).key
-    u = _color1_leg_next_to(representative(key), 3)
+    u = _color1_leg_next_to(canonical_diagram(key), 3)
     r = _star_at(key, u)
     D = _union([tripod(1, 2, 3, 3)] + [segment(1, 2, 3)] * m, 3)
     expected = canonicalize(D)
@@ -259,7 +258,7 @@ def test_star_relator_coefficient_identity(m):
 
 def test_star_relator_needs_a_leg():
     key = canonicalize(tripod(1, 2, 3, 3)).key
-    E = representative(key)
+    E = canonical_diagram(key)
     trivalent = next(v for v in range(E.n) if E.colors[v] is None)
     assert [r.rid for r in star_relators([key])] == [f"star:{key.hex()}:{u}" for u, _ in E.legs()]
     with pytest.raises(VerificationError):
@@ -271,7 +270,7 @@ def test_star_relator_needs_a_leg():
 def test_star_relator_drops_boring_grafts():
     # grafting two seg(1,2) copies yields a repeated-color component: zero
     key = canonicalize(_union([segment(1, 2, 3)] * 2, 3)).key
-    u = next(v for v, c in representative(key).legs() if c == 1)
+    u = next(v for v, c in canonical_diagram(key).legs() if c == 1)
     assert _star_at(key, u).element.is_zero()
 
 
@@ -306,8 +305,8 @@ def graft_oracle(a, b, u, w):
     """(body, sign) of grafting leg u of the tree body a onto leg w of b by
     graft_with_map on the representative of their forest, keyed whole."""
     u, w = (u, len(a[0]) + w) if a < b else (len(b[0]) + u, w)
-    sk = forest_key(graft_with_map(representative(join_trees(max(a[0] + b[0]), [a, b])), u, w)[0])
-    return tree_body(sk.key), sk.sign
+    sk = forest_key(graft_with_map(canonical_diagram(join_trees(max(a[0] + b[0]), [a, b])), u, w)[0])
+    return split_trees(sk.key)[0][1], sk.sign
 
 
 def test_graft_on_tree_bodies_matches_graft_with_map():
@@ -338,10 +337,10 @@ def test_stu_grafts_on_slot_colors_match_graft_with_map(monkeypatch):
 def test_exchange_on_tree_bodies_matches_the_rotation_edit():
     edges = 0
     for body in SURGERY_BODIES:
-        D = representative(join_trees(max(body[0]), [body]))
+        D = canonical_diagram(join_trees(max(body[0]), [body]))
         for e in internal_edges(D):
             edges += 1
-            want = [(tree_body(sk.key), sk.sign) for sk in map(forest_key, exchanged(D, e))]
+            want = [(split_trees(sk.key)[0][1], sk.sign) for sk in map(forest_key, exchanged(D, e))]
             assert list(_exchange(body, e)) == want, (body, e)
     assert edges == 45
 

@@ -13,9 +13,13 @@ Core claims:
     - every public module-level function or class outside __init__.py is
       referenced in the library, by name, attribute or from-import, or is
       exported in linkhom.__all__
-    - relators.py builds no Diagram and keys no whole forest: it imports
-      neither the diagrams module nor its Diagram constructors and forest
-      keyers, so every term is a tree body keyed by key_tree
+    - bases.py, bounded.py, hopf.py and relators.py build no Diagram and
+      key no whole forest: none imports the diagrams module or its Diagram
+      constructors and forest keyers, and relators.py takes from it only
+      the tree-body functions, so every term is a tree body keyed by
+      key_tree
+    - diagrams.py makes every Diagram through the validating constructor:
+      it calls no object.__new__
 """
 
 import ast
@@ -123,15 +127,33 @@ def test_every_public_definition_is_used_or_exported():
     assert not unused, f"defined, never referenced in the library and not exported: {unused}"
 
 
-def test_relators_key_terms_by_key_tree_alone():
-    path = Path(linkhom.__file__).parent / "relators.py"
+def _relative_imports(name):
+    """module.name for each name a library module imports relatively."""
+    path = Path(linkhom.__file__).parent / name
     names = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
-    assert ".diagrams" not in names
-    banned = {f"diagrams.{name}" for name in ("Diagram", "build", "canonical_diagram",
-                                              "canonicalize", "forest_key", "representative")}
-    assert not names & banned, sorted(names & banned)
-    assert {name for name in names if name.startswith("diagrams.")} == {
+    return names
+
+
+def test_key_modules_build_no_diagram():
+    makers = {f"diagrams.{name}" for name in ("Diagram", "build", "canonical_diagram",
+                                              "canonicalize", "forest_key")}
+    found = []
+    for name in ("bases.py", "bounded.py", "hopf.py", "relators.py"):
+        names = _relative_imports(name)
+        found += [f"{name}: {n}" for n in sorted(names & (makers | {".diagrams"}))]
+    assert not found, found
+
+
+def test_relators_key_terms_by_key_tree_alone():
+    assert {n for n in _relative_imports("relators.py") if n.startswith("diagrams.")} == {
         "diagrams.join_trees", "diagrams.key_tree", "diagrams.recolored", "diagrams.split_trees"}
+
+
+def test_diagrams_are_made_by_the_validating_constructor_alone():
+    path = Path(linkhom.__file__).parent / "diagrams.py"
+    unchecked = [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__new__"]
+    assert not unchecked, f"object.__new__ called at diagrams.py lines {unchecked}"
