@@ -38,18 +38,19 @@ immutable; operations build new diagrams.
 Construction paths: a Diagram is made one way, by the validating
 constructor, directly or through build (and canonical_diagram, which reads
 keys that may come from a document).  join_trees, split_trees and recolored
-work on keys and tree bodies and build no diagram.  forest_key and key_tree
-share one walk (_walk_tree) over a color per vertex, the owner of each
-half-edge and each vertex's rotation: forest_key reads them off a Diagram,
-and key_tree off a tree body, whose ends are its owners and whose rotations
-are ascending.  So a surgery on tree bodies (the enumerated trees, the
-relators' grafts and exchanges) is keyed without a Diagram.
+work on keys and tree bodies and build no diagram.  canonicalize and
+key_tree share one walk (_walk_tree) over a color per vertex, the owner of
+each half-edge and each vertex's rotation: canonicalize reads them off a
+Diagram, and key_tree off a tree body, whose ends are its owners and whose
+rotations are ascending.  So a surgery on tree bodies (the enumerated trees,
+the relators' grafts and exchanges) is keyed without a Diagram.  A Diagram
+finds its components and its defect (why it is not such a forest, if it is
+not) once, when it is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import DiagramError
 from .lincomb import LinComb
@@ -83,9 +84,26 @@ class Diagram:
         if sorted(owner) != list(range(len(owner))) or len(owner) % 2:
             raise DiagramError("half-edge ids must be exactly 0..2E-1")
         object.__setattr__(self, "_owner", tuple(owner[h] for h in range(len(owner))))
-        for comp in self._components:
-            if not any(self.colors[v] is not None for v in comp):
+        seen, comps = [False] * len(self.colors), []
+        for root in range(len(self.colors)):
+            if seen[root]:
+                continue
+            seen[root] = True
+            stack, comp = [root], []
+            while stack:
+                v = stack.pop()
+                comp.append(v)
+                for h in self.incidence[v]:
+                    w = owner[h ^ 1]
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+            if all(self.colors[v] is None for v in comp):
                 raise DiagramError("every component needs at least one leg")
+            comps.append(tuple(sorted(comp)))
+        object.__setattr__(self, "_components", tuple(comps))
+        # inject tests boringness and then canonicalizes: one scan serves both
+        object.__setattr__(self, "_defect", _forest_defect(self))
 
     # -- basic structure -------------------------------------------------
 
@@ -110,32 +128,6 @@ class Diagram:
     def components(self) -> tuple:
         """Vertex sets of connected components, each sorted, ordered by minimum."""
         return self._components
-
-    @cached_property
-    def _components(self) -> tuple:
-        owner, inc = self._owner, self.incidence
-        seen = [False] * self.n
-        comps = []
-        for root in range(self.n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            stack, comp = [root], []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for h in inc[v]:
-                    w = owner[h ^ 1]
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
-
-    @cached_property
-    def _defect(self):
-        # inject tests boringness and then canonicalizes: one scan serves both
-        return _forest_defect(self)
 
     def degree(self) -> int:
         return self.n // 2
@@ -301,21 +293,6 @@ def _walk_tree(colors, owner, inc, root):
     return (tuple(colors[v] or 0 for v in order), tuple(x for e in ends for x in e)), sign
 
 
-def forest_key(D: Diagram) -> SignedCanonicalKey:
-    """Canonical key of a diagram known to be a forest whose trees have
-    distinct leg colors, unchecked (canonicalize checks); joined from its
-    trees' keys, with the product of their signs."""
-    if D.n > KEY_BYTE_MAX:      # also bounds the walk's recursion depth
-        raise DiagramError("diagram too large to encode")
-    colors, trees, sign = D.colors, [], 1
-    for comp in D.components():
-        root = min((v for v in comp if colors[v] is not None), key=colors.__getitem__)
-        tree, s = _walk_tree(colors, D._owner, D.incidence, root)
-        trees.append(tree)
-        sign *= s
-    return SignedCanonicalKey(join_trees(D.k, trees), sign)
-
-
 def recolored(body, table) -> tuple:
     """A tree body with its leg colors translated by table, unkeyed."""
     colors, ends = body
@@ -340,10 +317,19 @@ def key_tree(body, keyed: dict) -> tuple:
 
 def canonicalize(D: Diagram) -> SignedCanonicalKey:
     """Canonical byte key and orientation sign (+1 or -1) of a forest whose
-    trees have distinct leg colors; any other diagram raises DiagramError."""
+    trees have distinct leg colors, joined from its trees' keys with the
+    product of their signs; any other diagram raises DiagramError."""
     if D._defect:
         raise DiagramError(f"no canonical key: the diagram has {D._defect}")
-    return forest_key(D)
+    if D.n > KEY_BYTE_MAX:      # also bounds the walk's recursion depth
+        raise DiagramError("diagram too large to encode")
+    colors, trees, sign = D.colors, [], 1
+    for comp in D.components():
+        root = min((v for v in comp if colors[v] is not None), key=colors.__getitem__)
+        tree, s = _walk_tree(colors, D._owner, D.incidence, root)
+        trees.append(tree)
+        sign *= s
+    return SignedCanonicalKey(join_trees(D.k, trees), sign)
 
 
 def canonical_diagram(key: bytes) -> Diagram:

@@ -10,6 +10,14 @@ incoming under-arc a (so the under strand runs a -> c), then one line per
 component `component: a1 a2 ...` giving its arc cycle in orientation order.
 The over strand runs d -> b for a positive crossing and b -> d for a negative
 one; the direction is read off the component cycles.
+
+Moves: random_homotopy_move reads one table, _MOVES, of (name, site finder,
+move) for R1 and R2 addition and removal, R3 and a self-crossing sign flip.
+Each finder lists its sites from one walk over the cyclically adjacent visit
+pairs; the additions have no finder and always apply.  The move is drawn
+uniformly among those that apply, then applies itself at a site drawn from
+its list.  A lone visit is adjacent to itself: that is a one-visit component,
+not a kink, so R1 removal skips it.
 """
 
 from __future__ import annotations
@@ -198,7 +206,25 @@ def _fresh_id(signs) -> int:
     return max(signs, default=0) + 1
 
 
-def _r1_add(L, rng):
+def _adjacent(L):
+    """(component, position, visit, next visit) for each cyclically adjacent
+    pair of visits; a one-visit component pairs its visit with itself."""
+    for ci, comp in enumerate(L.components):
+        for i, visit in enumerate(comp):
+            yield ci, i, visit, comp[(i + 1) % len(comp)]
+
+
+def _dropped(L, ids):
+    """L without the visits and signs of the crossings in ids."""
+    return _link([[v for v in comp if v[0] not in ids] for comp in L.components],
+                 {cid: s for cid, s in L.signs if cid not in ids})
+
+
+def _remove(L, rng, sites):
+    return _dropped(L, rng.choice(sites))
+
+
+def _r1_add(L, rng, sites):
     comps = [list(c) for c in L.components]
     signs = dict(L.signs)
     ci = rng.randrange(len(comps))
@@ -211,30 +237,12 @@ def _r1_add(L, rng):
 
 
 def _r1_sites(L):
-    sites = []
-    for ci, comp in enumerate(L.components):
-        n = len(comp)
-        for i in range(n):
-            a, b = comp[i], comp[(i + 1) % n]
-            if a[0] == b[0] and n >= 2:
-                sites.append((ci, i))
-    return sites
+    """Kinks: both visits of one crossing adjacent.  Equal roles mean a lone
+    visit adjacent to itself, a one-visit component and no kink."""
+    return [(a[0],) for _, _, a, b in _adjacent(L) if a[0] == b[0] and a[1] != b[1]]
 
 
-def _r1_remove(L, rng, sites):
-    ci, i = rng.choice(sites)
-    comps = [list(c) for c in L.components]
-    signs = dict(L.signs)
-    comp = comps[ci]
-    cid = comp[i][0]
-    j = (i + 1) % len(comp)
-    for idx in sorted((i, j), reverse=True):
-        del comp[idx]
-    del signs[cid]
-    return _link(comps, signs)
-
-
-def _r2_add(L, rng):
+def _r2_add(L, rng, sites):
     comps = [list(c) for c in L.components]
     signs = dict(L.signs)
     ca = rng.randrange(len(comps))
@@ -245,14 +253,10 @@ def _r2_add(L, rng):
     s = rng.choice([1, -1])
     over = [(x, "o"), (y, "o")]
     under = [(y, "u"), (x, "u")]
-    if ca == cb:
-        # inserting both pairs into one component: do the later position first
-        if pa < pb:
-            comps[ca][pb:pb] = under
-            comps[ca][pa:pa] = over
-        else:
-            comps[ca][pa:pa] = over
-            comps[cb][pb:pb] = under
+    # both pairs into one component: the later position goes first
+    if ca == cb and pa < pb:
+        comps[cb][pb:pb] = under
+        comps[ca][pa:pa] = over
     else:
         comps[ca][pa:pa] = over
         comps[cb][pb:pb] = under
@@ -265,71 +269,41 @@ def _r2_sites(L):
     order and role, carrying opposite signs."""
     signs, index = dict(L.signs), L._visits
     sites = []
-    for ci, comp in enumerate(L.components):
-        n = len(comp)
-        for i in range(n):
-            (x, rx), (y, ry) = comp[i], comp[(i + 1) % n]
-            if x == y or rx != ry or signs[x] != -signs[y]:
-                continue
-            flip = "u" if rx == "o" else "o"
-            cj, j = index[(y, flip)]
-            cj2, j2 = index[(x, flip)]
-            if cj == cj2 and (j + 1) % len(L.components[cj]) == j2:
-                sites.append(((ci, i), (cj, j)))
+    for _, _, (x, rx), (y, ry) in _adjacent(L):
+        if x == y or rx != ry or signs[x] != -signs[y]:
+            continue
+        flip = "u" if rx == "o" else "o"
+        cj, j = index[(y, flip)]
+        if index[(x, flip)] == (cj, (j + 1) % len(L.components[cj])):
+            sites.append((x, y))
     return sites
-
-
-def _r2_remove(L, rng, sites):
-    (ci, i), (cj, j) = rng.choice(sites)
-    comps = [list(c) for c in L.components]
-    signs = dict(L.signs)
-    x = comps[ci][i][0]
-    y = comps[ci][(i + 1) % len(comps[ci])][0]
-    drop = []
-    for cc, comp in enumerate(comps):
-        for idx, (cid, _) in enumerate(comp):
-            if cid in (x, y):
-                drop.append((cc, idx))
-    for cc, idx in sorted(drop, reverse=True):
-        del comps[cc][idx]
-    del signs[x]
-    del signs[y]
-    return _link(comps, signs)
 
 
 def _r3_sites(L):
     """Triangle slides: an adjacent over-over pair whose under visits are each
     adjacent to one visit of a common third crossing."""
-    index = L._visits
+    comps, index = L.components, L._visits
     sites = []
-    for ci, comp in enumerate(L.components):
-        n = len(comp)
-        for i in range(n):
-            (x, rx), (y, ry) = comp[i], comp[(i + 1) % n]
-            if x == y or rx != "o" or ry != "o":
-                continue
-            xu_ci, xu_i = index[(x, "u")]
-            yu_ci, yu_i = index[(y, "u")]
-            nx = L.components[xu_ci][(xu_i + 1) % len(L.components[xu_ci])]
-            py = L.components[yu_ci][(yu_i - 1) % len(L.components[yu_ci])]
-            if nx[0] == py[0] and nx[0] not in (x, y) and nx[1] != py[1]:
-                sites.append(((ci, i), (xu_ci, xu_i),
-                              (yu_ci, (yu_i - 1) % len(L.components[yu_ci]))))
+    for ci, i, (x, rx), (y, ry) in _adjacent(L):
+        if x == y or rx != "o" or ry != "o":
+            continue
+        xu_ci, xu_i = index[(x, "u")]
+        yu_ci, yu_i = index[(y, "u")]
+        before_yu = (yu_i - 1) % len(comps[yu_ci])
+        nx = comps[xu_ci][(xu_i + 1) % len(comps[xu_ci])]
+        py = comps[yu_ci][before_yu]
+        if nx[0] == py[0] and nx[0] not in (x, y) and nx[1] != py[1]:
+            sites.append(((ci, i), (xu_ci, xu_i), (yu_ci, before_yu)))
     return sites
 
 
-def _swap_adjacent(comps, ci, i):
-    comp = comps[ci]
-    j = (i + 1) % len(comp)
-    comp[i], comp[j] = comp[j], comp[i]
-
-
 def _r3_apply(L, rng, sites):
-    (ci, i), (cx, ix), (cy, iy) = rng.choice(sites)
+    """Swap each of the three adjacent visit pairs of the slide."""
     comps = [list(c) for c in L.components]
-    _swap_adjacent(comps, ci, i)
-    _swap_adjacent(comps, cx, ix)
-    _swap_adjacent(comps, cy, iy)
+    for ci, i in rng.choice(sites):
+        comp = comps[ci]
+        j = (i + 1) % len(comp)
+        comp[i], comp[j] = comp[j], comp[i]
     return _link(comps, dict(L.signs))
 
 
@@ -341,36 +315,27 @@ def _self_flip(L, rng, sites):
     cid = rng.choice(sites)
     signs = dict(L.signs)
     signs[cid] = -signs[cid]
-    return _link([list(c) for c in L.components], signs)
+    return _link(L.components, signs)
+
+
+# (name, site finder, move); a move without a finder always applies
+_MOVES = (
+    ("r1+", None, _r1_add),
+    ("r2+", None, _r2_add),
+    ("r1-", _r1_sites, _remove),
+    ("r2-", _r2_sites, _remove),
+    ("r3", _r3_sites, _r3_apply),
+    ("flip", _self_sites, _self_flip),
+)
 
 
 def random_homotopy_move(L: GaussLink, rng):
     """One random move among R1/R2 add/remove, R3, and a self-crossing sign
-    flip.  Returns (link, move name) or (L, None) when nothing applies."""
+    flip, drawn uniformly among the moves that apply; R1 and R2 additions
+    always apply.  Returns (link, move name)."""
     if isinstance(rng, int):
         rng = random.Random(rng)
-    moves = [("r1+", None), ("r2+", None)]
-    r1 = _r1_sites(L)
-    if r1:
-        moves.append(("r1-", r1))
-    r2 = _r2_sites(L)
-    if r2:
-        moves.append(("r2-", r2))
-    r3 = _r3_sites(L)
-    if r3:
-        moves.append(("r3", r3))
-    selfs = _self_sites(L)
-    if selfs:
-        moves.append(("flip", selfs))
-    name, sites = moves[rng.randrange(len(moves))]
-    if name == "r1+":
-        return _r1_add(L, rng), name
-    if name == "r2+":
-        return _r2_add(L, rng), name
-    if name == "r1-":
-        return _r1_remove(L, rng, sites), name
-    if name == "r2-":
-        return _r2_remove(L, rng, sites), name
-    if name == "r3":
-        return _r3_apply(L, rng, sites), name
-    return _self_flip(L, rng, sites), name
+    moves = [(name, move, sites) for name, find, move in _MOVES
+             if (sites := find and find(L)) != []]
+    name, move, sites = moves[rng.randrange(len(moves))]
+    return move(L, rng, sites), name

@@ -4,7 +4,7 @@ Core claims:
     - build() validates half-edge bookkeeping and rejects malformed input
     - canonical keys are invariant under vertex/edge relabeling
     - key_tree, walking a tree body's half-edge arrays, gives the body and
-      sign forest_key gives the same tree built as a Diagram, on every tree
+      sign canonicalize gives the same tree built as a Diagram, on every tree
       from leaf insertion on 2..7 legs
     - the canonical sign flips under a single rotation transposition, and is
       always +1 or -1: it changes by (-1)^r under r rotation reversals
@@ -37,7 +37,6 @@ from linkhom.diagrams import (
     canonical_diagram,
     canonicalize,
     empty,
-    forest_key,
     inject,
     is_boring,
     key_tree,
@@ -619,7 +618,7 @@ def test_key_tree_matches_forest_key_on_every_raw_tree():
                 colors[perm[v]] = c and palette[c - 1]
             edges = [(perm[u], perm[v])[::rng.choice((1, -1))] for u, v in edges]
             rng.shuffle(edges)
-            sk = forest_key(build(k, colors, edges))
+            sk = canonicalize(build(k, colors, edges))
             body = (tuple(c or 0 for c in colors), tuple(x for e in edges for x in e))
             assert key_tree(body, {}) == (split_trees(sk.key)[0][1], sk.sign), (colors, edges)
             trees += 1

@@ -33,7 +33,6 @@ from linkhom.diagrams import (
     SignedCanonicalKey,
     canonical_diagram,
     canonicalize,
-    forest_key,
     is_boring,
     join_trees,
     split_trees,
@@ -164,7 +163,7 @@ def test_split_trees_inverts_join_trees(k, d):
         assert tuple(blocks) == canonical_diagram(key).components(), key.hex()
         for _, body in trees:
             tree = join_trees(k, [body])
-            assert forest_key(canonical_diagram(tree)) == SignedCanonicalKey(tree, 1)
+            assert canonicalize(canonical_diagram(tree)) == SignedCanonicalKey(tree, 1)
 
 
 def test_split_trees_keeps_repeated_trees():

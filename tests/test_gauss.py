@@ -5,18 +5,29 @@ Core claims:
     - PD parsing agrees with hand-written Gauss codes
     - malformed codes fail with positioned errors
     - reversing a component negates its row and column
-    - every move type preserves the linking matrix (fuzzed)
+    - every move type preserves the linking matrix (fuzzed), and every one
+      of the six fires
+    - the move stream of seeded walks, links with one-visit components
+      included, and the lk --json --fuzz output on every fixture are pinned
+      by SHA-256 digest
+    - random token soups of Gauss and PD text parse, and then take a linking
+      matrix and a move, or raise ParseError, and raise nothing else
     - each crossing's components, read off the link's visit index, are
       those a scan of every visit finds (fuzzed)
     - text serialization round-trips
 """
 
+import hashlib
+import io
 import random
+import re
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linkhom import cli
 from linkhom.errors import ParseError
 from linkhom.gauss import (
     GaussLink,
@@ -197,3 +208,87 @@ def test_move_accepts_int_seed():
     out, move = random_homotopy_move(L, 5)
     assert isinstance(out, GaussLink)
     assert isinstance(move, str)
+
+
+# Links walked by the pinned move stream: the three fixtures, and two links
+# with a one-visit component, which R1 removal must not take for a kink.
+WALK_LINKS = [(FIXTURES / name).read_text()
+              for name in ("unlink2.gauss", "hopf.gauss", "whitehead.gauss")]
+WALK_LINKS += ["+1^o\n+1^u\n", "+1^o -2^o\n+1^u\n-2^u\n"]
+
+# SHA-256 prefix over (components, signs, move name) after every move of the
+# walks below; any change to the generator's draw order, the site order or
+# the lone-visit rule changes it.
+PINNED_MOVE_STREAM = "cb91896019581dd7"
+
+# SHA-256 prefixes of lk --json --fuzz 300 --seed 7 on each fixture.
+PINNED_LK_FUZZ = {
+    "unlink2.gauss": "d6ae906ed89d45e1",
+    "hopf.gauss": "4b75fd49bd788ba7",
+    "whitehead.gauss": "d6ae906ed89d45e1",
+    "hopf.pd": "4b75fd49bd788ba7",
+}
+
+
+def test_move_stream_is_pinned_and_every_move_fires():
+    digest, seen = hashlib.sha256(), set()
+    for text in WALK_LINKS:
+        for seed in range(10):
+            L, rng = parse_gauss(text), random.Random(seed)
+            for _ in range(150):
+                L, move = random_homotopy_move(L, rng)
+                seen.add(move)
+                digest.update(repr((L.components, L.signs, move)).encode())
+    assert seen == {"r1+", "r2+", "r1-", "r2-", "r3", "flip"}
+    assert digest.hexdigest()[:16] == PINNED_MOVE_STREAM
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LK_FUZZ))
+def test_lk_fuzz_bytes_are_pinned(name):
+    argv = ["lk", "--input", str(FIXTURES / name), "--json", "--fuzz", "300", "--seed", "7"]
+    if name.endswith(".pd"):
+        argv.append("--pd")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == PINNED_LK_FUZZ[name]
+
+
+_GAUSS_TOKEN = st.one_of(
+    st.builds("{}{}^{}".format, st.sampled_from("+-"), st.integers(1, 3), st.sampled_from("ou")),
+    st.sampled_from(["()", "\n"]))
+_ARCS = st.lists(st.integers(1, 4), min_size=4, max_size=4)
+_PD_LINE = st.one_of(st.builds("X[{0[0]},{0[1]},{0[2]},{0[3]}]".format, _ARCS),
+                     st.builds(lambda arcs: " ".join(["component:", *map(str, arcs)]),
+                               st.lists(st.integers(1, 4), max_size=4)))
+# token lists of valid texts: any shuffle of a Gauss text's visits and line
+# breaks, or of a PD text's lines, is again a link, though its linking
+# matrix may meet an odd signed count (a ParseError)
+_GAUSS_BASES = [re.findall(r"\S+|\n", text) for text in WALK_LINKS]
+_PD_BASES = [(FIXTURES / "hopf.pd").read_text().splitlines(), ["X[1,1,2,2]", "component: 1 2"]]
+
+
+@st.composite
+def _soup(draw, bases, noise, sep):
+    """Random tokens alone, or a valid text's tokens shuffled with up to two
+    of them replaced by or spliced with random ones."""
+    tokens = draw(st.one_of(st.builds(list), st.sampled_from(bases).flatmap(st.permutations)))
+    for _ in range(draw(st.integers(0, 2 if tokens else 6))):
+        i = draw(st.integers(0, len(tokens)))
+        tokens[i:i + draw(st.integers(0, 1))] = [draw(noise)]
+    return sep.join(tokens)
+
+
+@given(st.one_of(st.tuples(st.just(parse_gauss), _soup(_GAUSS_BASES, _GAUSS_TOKEN, " ")),
+                 st.tuples(st.just(parse_pd), _soup(_PD_BASES, _PD_LINE, "\n"))),
+       st.integers(0, 2**16))
+@settings(max_examples=400, deadline=None)
+def test_token_soups_parse_or_raise_parse_error(case, seed):
+    parse, text = case
+    try:
+        L = parse(text)
+        linking_matrix(L)
+    except ParseError:
+        return
+    out, _ = random_homotopy_move(L, seed)
+    assert isinstance(out, GaussLink)

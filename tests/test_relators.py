@@ -44,7 +44,6 @@ from linkhom.diagrams import (
     canonical_diagram,
     canonicalize,
     empty,
-    forest_key,
     inject,
     join_trees,
     segment,
@@ -112,7 +111,7 @@ def star_relator(E, u, key):
     terms = {}
     for w, c in E.legs():
         if c == color and w != u and _interesting_graft(masks, tree_of[u], tree_of[w], color):
-            _add(terms, forest_key(graft_with_map(E, u, w)[0]))
+            _add(terms, canonicalize(graft_with_map(E, u, w)[0]))
     return Relator(f"star:{key.hex()}:{u}", LinComb(terms))
 
 
@@ -143,8 +142,8 @@ def ihx_relator(D, e, key):
     """I - H + X at the internal edge e of D, the representative of key."""
     term_h, term_x = exchanged(D, e)
     terms = {key: 1}
-    _add(terms, forest_key(term_h), -1)
-    _add(terms, forest_key(term_x))
+    _add(terms, canonicalize(term_h), -1)
+    _add(terms, canonicalize(term_x))
     return Relator(f"ihx:{key.hex()}:{e}", LinComb(terms))
 
 
@@ -305,7 +304,7 @@ def graft_oracle(a, b, u, w):
     """(body, sign) of grafting leg u of the tree body a onto leg w of b by
     graft_with_map on the representative of their forest, keyed whole."""
     u, w = (u, len(a[0]) + w) if a < b else (len(b[0]) + u, w)
-    sk = forest_key(graft_with_map(canonical_diagram(join_trees(max(a[0] + b[0]), [a, b])), u, w)[0])
+    sk = canonicalize(graft_with_map(canonical_diagram(join_trees(max(a[0] + b[0]), [a, b])), u, w)[0])
     return split_trees(sk.key)[0][1], sk.sign
 
 
@@ -340,7 +339,7 @@ def test_exchange_on_tree_bodies_matches_the_rotation_edit():
         D = canonical_diagram(join_trees(max(body[0]), [body]))
         for e in internal_edges(D):
             edges += 1
-            want = [(split_trees(sk.key)[0][1], sk.sign) for sk in map(forest_key, exchanged(D, e))]
+            want = [(split_trees(sk.key)[0][1], sk.sign) for sk in map(canonicalize, exchanged(D, e))]
             assert list(_exchange(body, e)) == want, (body, e)
     assert edges == 45
 

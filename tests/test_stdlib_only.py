@@ -139,7 +139,7 @@ def _relative_imports(name):
 
 def test_key_modules_build_no_diagram():
     makers = {f"diagrams.{name}" for name in ("Diagram", "build", "canonical_diagram",
-                                              "canonicalize", "forest_key")}
+                                              "canonicalize")}
     found = []
     for name in ("bases.py", "bounded.py", "hopf.py", "relators.py"):
         names = _relative_imports(name)
