@@ -15,6 +15,8 @@ n + 1 <= 2n legs, so a forest of degree d has support of size at most 2d.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 
 from .diagrams import join_trees, key_tree
@@ -44,12 +46,14 @@ def _raw_trees(colors):
     return trees
 
 
-def _tree_bodies(colors) -> list:
+@functools.cache
+def _tree_bodies(colors: tuple) -> tuple:
     """Sorted canonical bodies of all trees whose legs carry exactly these
-    distinct colors, each met once."""
+    distinct colors, each met once; kept per color tuple, since the blocks
+    of a cell enumerate the same trees again."""
     keyed = {}
-    return sorted(key_tree((tuple(c or 0 for c in verts), tuple(x for e in edges for x in e)),
-                           keyed)[0] for verts, edges in _raw_trees(colors))
+    return tuple(sorted(key_tree((tuple(c or 0 for c in verts), tuple(x for e in edges for x in e)),
+                                 keyed)[0] for verts, edges in _raw_trees(colors)))
 
 
 def trees_on_colors(colors, k) -> list:
@@ -61,43 +65,63 @@ def trees_on_colors(colors, k) -> list:
     return [join_trees(k, [body]) for body in _tree_bodies(colors)]
 
 
-def enum_forests(k: int, d: int, support: int | None = None) -> list:
+def enum_forests(k: int, d: int, support: int | None = None, content=None) -> list:
     """Sorted canonical keys of all degree-d homotopy basis forests on k colors.
 
     With support=m, only the forests whose legs use exactly the colors
-    1..m: the support block, whose keys are still keys of the k-color cell.
+    1..m: the support block.  With content=c, only the forests with c[j-1]
+    legs of color j for each j, and none of a color past len(c): the
+    content block.  Either way the keys are still keys of the k-color cell.
     Each key's canonical representative is the forest itself, with sign +1;
     component degrees never exceed the palette size minus 1 because leaf
     colors are distinct within a component.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    palette = k if support is None else support
+    exact = content is not None
+    if exact and support is not None:
+        raise ValueError("give a support or a content, not both")
+    palette = len(content) if exact else k if support is None else support
     if not 0 <= palette <= k:
-        raise ValueError(f"support {support} is outside 0..{k}")
-    # colors the forest must still cover, as a bitmask over the palette
-    need = 0 if support is None else (1 << palette) - 1
-    types = []          # (degree, color mask, key body) per component type
-    for n in range(1, min(d, palette - 1) + 1):
-        for colors in itertools.combinations(range(1, palette + 1), n + 1):
-            mask = sum(1 << (c - 1) for c in colors)
-            for body in _tree_bodies(colors):
-                types.append((n, mask, body))
+        raise ValueError(f"a palette of {palette} colors is outside 0..{k}")
+    # legs still owed per color: exactly so many in a content block, at
+    # least one of each color in a support block, none in the whole cell
+    owed = tuple(content) if exact else (int(support is not None),) * palette
+    types = []          # (degree, colors, color mask, key body) per component type
+    # the other trees of a forest with sum(owed) legs or more have degree >= 1
+    for n in range(1, min(d, palette - 1, 2 * d + 1 - sum(owed)) + 1):
+        for colors in itertools.combinations(range(palette), n + 1):
+            if not exact or all(owed[c] for c in colors):
+                mask = sum(1 << c for c in colors)
+                types.extend((n, colors, mask, body)
+                             for body in _tree_bodies(tuple(c + 1 for c in colors)))
+    # by least color: ends[c] is the number of types whose least color is at most c
+    types.sort(key=lambda t: t[1][0])
+    ends = [bisect.bisect_right(types, c, key=lambda t: t[1][0]) for c in range(palette + 1)]
 
     # each multiset of types is one forest, met once
     found = []
 
-    def extend(i, remaining, uncovered, parts):
-        # a tree of degree n covers at most 2n new colors
-        if uncovered.bit_count() > 2 * remaining:
+    def extend(i, remaining, owed, parts):
+        legs = sum(owed)
+        # the trees still to come, of total degree r, have r + 1 to 2r legs,
+        # which a content block must meet exactly
+        if legs > 2 * remaining or exact and remaining and legs <= remaining:
             return
         if remaining == 0:
             found.append(join_trees(k, parts))
             return
-        for j in range(i, len(types)):
-            n, mask, body = types[j]
-            if n <= remaining:
-                extend(j, remaining - n, uncovered & ~mask, parts + [body])
+        # only a type whose least color is at most the least owed color can
+        # pay it, and a content block has no leg left for a color it owes none
+        first = next((c for c, x in enumerate(owed) if x), palette)
+        spent = exact and sum(1 << c for c, x in enumerate(owed) if not x)
+        for j in range(i, ends[first]):
+            n, colors, mask, body = types[j]
+            if n <= remaining and not mask & spent:
+                left = list(owed)
+                for c in colors:
+                    left[c] -= left[c] > 0
+                extend(j, remaining - n, tuple(left), parts + [body])
 
-    extend(0, d, need, [])
+    extend(0, d, owed, [])
     return sorted(found)

@@ -38,7 +38,16 @@ def _splits(n: int):
 # -- products -----------------------------------------------------------------
 
 
-def product_keys(a: bytes, b: bytes) -> LinComb:
+def _trees(key: bytes, split: dict) -> list:
+    """The tree bodies of a forest key, read once per dict split."""
+    if (bodies := split.get(key)) is None:
+        bodies = split[key] = [body for _, body in split_trees(key)]
+    return bodies
+
+
+def product_keys(a: bytes, b: bytes, split=None) -> LinComb:
+    """The product of two keys; a caller that multiplies the same forest
+    keys again passes one dict split, which keeps each key's trees."""
     ta, tb = _tag(a), _tag(b)
     if ta != tb:
         raise DiagramError("cannot multiply classes of different kinds")
@@ -47,7 +56,8 @@ def product_keys(a: bytes, b: bytes) -> LinComb:
     if ta == _TAG_UNITRI:
         if a[1] != b[1]:
             raise DiagramError("disjoint union needs equal k")
-        return LinComb({join_trees(a[1], [t for x in (a, b) for _, t in split_trees(x)]): 1})
+        split = {} if split is None else split
+        return LinComb({join_trees(a[1], _trees(a, split) + _trees(b, split)): 1})
     raise DiagramError(f"no product for key tag {ta:#x}")
 
 
@@ -93,9 +103,12 @@ def tensor(x: LinComb, y: LinComb) -> LinComb:
 
 
 def tensor_product(s: LinComb, t: LinComb) -> LinComb:
-    """Componentwise product of tensors: (a (x) b)(c (x) d) = ac (x) bd."""
+    """Componentwise product of tensors: (a (x) b)(c (x) d) = ac (x) bd.
+    Each forest key is split into its trees once per call."""
+    split = {}
     return LinComb((pair, cs * ct * cp) for (a, b), cs in s.items() for (c, d), ct in t.items()
-                   for pair, cp in tensor(product_keys(a, c), product_keys(b, d)).items())
+                   for pair, cp in tensor(product_keys(a, c, split),
+                                          product_keys(b, d, split)).items())
 
 
 # -- primitivity --------------------------------------------------------------

@@ -101,13 +101,14 @@ def _graft(a, b, u: int, w: int):
     return tree, sign if hu < hw else -sign
 
 
-def star_relators(basis):
+def star_relators(basis, color=None):
     """The link relation at each leg u of each basis forest, in leg order:
     the grafts of u onto every other leg of its color sum to zero.  A graft
     of two trees sharing a color besides u's is boring, 0 and not built, so
     a leg whose color no other leg has gets the zero element at once.  A
     forest key's colors are slot colors with p = 0, so slot_trees finds the
-    trees with a leg of each color."""
+    trees with a leg of each color.  With color=j, only the relators at the
+    legs of color j are made, with the ids they have among all."""
     grafts = {}
     for key in basis:
         k, name = key[1], key.hex()
@@ -115,17 +116,17 @@ def star_relators(basis):
         pairs = {}              # (a, b) -> the term grafting a leg of tree a onto tree b
         off = 0                 # the label of tree a's root
         for a, (colors, _) in enumerate(bodies):
-            for u, color in enumerate(colors):
-                if not color:
+            for u, c in enumerate(colors):
+                if not c or color is not None and c != color:
                     continue
                 terms = {}
                 # a tree shares all its colors with itself, so b != a
-                for b in segs[color]:
+                for b in segs[c]:
                     # grafting b's leg onto a's gives the same forest, with the other sign
                     if (term := pairs.get((b, a))) is not None:
                         _add(terms, term[0], -term[1])
-                    elif _interesting_graft(masks, a, b, color):
-                        g = bodies[a], bodies[b], u, bodies[b][0].index(color)
+                    elif _interesting_graft(masks, a, b, c):
+                        g = bodies[a], bodies[b], u, bodies[b][0].index(c)
                         if (made := grafts.get(g)) is None:
                             made = grafts[g] = _graft(*g)
                         term = pairs[a, b] = joined(b"", k, bodies, (a, b), [made])

@@ -17,8 +17,21 @@ its basis, relators and rank.  So with f(m, d) the block of support exactly
 
 and likewise for the basis size, each relator count and the rank.
 dim_space computes those min(k, 2d) + 1 blocks only, each in the k-color
-cell's own keys; d = 0 is the m = 0 block, the empty forest.  The main
-triviality verification still eliminates over the whole cell.
+cell's own keys; d = 0 is the m = 0 block, the empty forest.
+
+A bhsl or bhl block splits one level further, by content: the number of
+legs of each color.  IHX keeps a forest's content, and the star relator at
+a leg of color j takes content c + e_j to c, so the block is a direct sum
+of content blocks, and the rows of block c are the IHX relators of its
+keys and the star relators at the color-j legs of the keys of c + e_j.  A
+permutation of the colors carries content block c onto the block of the
+permuted content, so only the non-increasing contents are computed, each
+weighted by its orbit, m! over the product of the factorials of its
+multiplicities.  Each relator is still counted at the key it is made from.
+The ahsl and ahl blocks do not split this way: the S term of STU has one
+leg fewer on its segment than T and U.  The main triviality verification
+still eliminates over the whole cell, whose certificate bytes depend on
+the rows it meets.
 
 A chord diagram with an isolated chord is a 1T relator by itself, so the
 chord rank is the number of those keys plus the rank of the 4T relators
@@ -27,6 +40,7 @@ modulo 1T, over the other keys with the ones of more crossings first.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -152,12 +166,65 @@ def block_matrix(space: str, k, d: int, support=None):
     return matrix, keys, counts
 
 
-def dim_block(space: str, k, d: int, support=None) -> SpaceReport:
-    """The report of one block of the (k, d) cell, as block_matrix takes it:
-    the relators are counted and reduced, and none is kept."""
-    matrix, keys, counts = block_matrix(space, k, d, support)
+def _contents(palette: int, d: int, least: int):
+    """(content, orbit size) of each non-increasing content on this many
+    colors, each count at least least, that a degree-d forest can have.
+    The orbit is the content's permutations: palette! over the product of
+    its multiplicities' factorials."""
+    for content in itertools.combinations_with_replacement(range(d, least - 1, -1), palette):
+        trees = sum(content) - d
+        # a forest is empty, or has d + t legs for t trees, at most t of a color
+        if trees == d == 0 or 0 < trees <= d and content[0] <= trees:
+            yield content, factorial(palette) // prod(map(factorial, Counter(content).values()))
+
+
+def dim_content(space: str, k, d: int, content) -> SpaceReport:
+    """The report of one content block of bhsl or bhl: the forests of the
+    (k, d) cell with content[j-1] legs of color j.  Its rows are the IHX
+    relators of its keys and, for bhl, the star relators at the legs of
+    color j of the keys of content + e_j, which land in it.  Each kind is
+    counted where it is made, as in every other block: IHX at the internal
+    edges of its keys, star at their legs."""
+    keys = enum_forests(k, d, content=content)
+    matrix = SparseRationalMatrix(keys)
+    counts = {"ihx": matrix.add_relators(rel.ihx_relators(keys))}
+    if space == "bhl":
+        counts["star"] = len(keys) * sum(content)
+        for j, n in enumerate(content):
+            # no row lands in an empty block, and a color of no leg gives a
+            # lone leg, whose star relator is 0
+            if keys and n:
+                source = enum_forests(k, d, content=(*content[:j], n + 1, *content[j + 1:]))
+                matrix.add_relators(rel.star_relators(source, j + 1))
     rank = matrix.rank()
     return SpaceReport(space, k, d, len(keys), counts, rank, len(keys) - rank)
+
+
+def _accumulate(total: SpaceReport, part: SpaceReport, mult: int) -> None:
+    """Add mult copies of part's sizes and counts to total."""
+    total.basis_size += mult * part.basis_size
+    total.rank += mult * part.rank
+    total.dim = total.basis_size - total.rank
+    for name, count in part.relator_counts.items():
+        total.relator_counts[name] = total.relator_counts.get(name, 0) + mult * count
+
+
+def dim_block(space: str, k, d: int, support=None) -> SpaceReport:
+    """The report of one block of the (k, d) cell: with support=m the part
+    on colors exactly 1..m, else the whole cell.  A bhsl or bhl block is
+    the sum of its representative content blocks, each times its orbit;
+    any other is reduced whole, as block_matrix takes it.  The relators
+    are counted and reduced, and none is kept."""
+    if space not in ("bhsl", "bhl"):
+        matrix, keys, counts = block_matrix(space, k, d, support)
+        rank = matrix.rank()
+        return SpaceReport(space, k, d, len(keys), counts, rank, len(keys) - rank)
+    # every kind is counted from 0, so a block with no forest still names it
+    report = SpaceReport(space, k, d, 0, dict.fromkeys(_relators_for(space, ()), 0))
+    palette, least = (k, 0) if support is None else (support, 1)
+    for content, orbit in _contents(palette, d, least):
+        _accumulate(report, dim_content(space, k, d, content), orbit)
+    return report
 
 
 def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
@@ -171,12 +238,7 @@ def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
         return _dim_chord(d)
     report = SpaceReport(space=space, k=k, d=d, basis_size=0)
     for m in range(min(k, 2 * d) + 1):
-        block, mult = dim_block(space, k, d, m), comb(k, m)
-        report.basis_size += mult * block.basis_size
-        report.rank += mult * block.rank
-        for name, count in block.relator_counts.items():
-            report.relator_counts[name] = report.relator_counts.get(name, 0) + mult * count
-    report.dim = report.basis_size - report.rank
+        _accumulate(report, dim_block(space, k, d, m), comb(k, m))
     return report
 
 

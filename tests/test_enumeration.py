@@ -18,9 +18,16 @@ Core claims:
     - degree-1 forests are exactly the color pairs
     - the support block on colors 1..m holds exactly the basis elements whose
       legs use those colors, and the recolored blocks count the whole basis
+    - every support block at every budget cell has the size of the
+      inclusion-exclusion count over its palette, and so do f(6,5) (9371)
+      and f(6,6) (78885)
+    - the content block of c holds exactly the basis elements with c[j-1]
+      legs of color j, for every content vector of the cells up to 4/4 and
+      of 5/3
 """
 
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -244,6 +251,55 @@ def test_support_blocks_partition_the_basis(enum, support, cells):
                 (k, d, m)
             total += comb(k, m) * len(block)
         assert total == len(whole), (k, d)
+
+
+def _block_count_oracle(m, d):
+    """Forests of degree d whose legs use exactly the colors 1..m: the
+    forests on j colors by the generating function, with the palettes
+    that leave a color bare taken off by inclusion-exclusion."""
+    return sum((-1) ** (m - j) * comb(m, j) * _forest_count_oracle(j, d) for j in range(m + 1))
+
+
+BUDGET_CELLS = [(k, d) for k in range(1, 6) for d in range(4)] + [(k, 4) for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("k,d", BUDGET_CELLS)
+def test_support_block_sizes_match_the_inclusion_exclusion_count(k, d):
+    for m in range(min(k, 2 * d) + 1):
+        got, want = len(enum_forests(k, d, m)), _block_count_oracle(m, d)
+        assert got == want, f"f({m},{d}): {got} keys, count {want}"
+
+
+@pytest.mark.parametrize("m,d,count", [(6, 5, 9371), (6, 6, 78885)])
+def test_large_support_block_sizes(m, d, count):
+    assert _block_count_oracle(m, d) == count
+    assert len(enum_forests(m, d, m)) == count, f"f({m},{d})"
+
+
+def _content(key, k):
+    """The number of legs of each color 1..k of a forest key."""
+    counts = Counter(key[4:4 + key[2]])
+    return tuple(counts[c] for c in range(1, k + 1))
+
+
+@pytest.mark.parametrize("k,d", [(k, d) for k in range(1, 5) for d in range(5)] + [(5, 3)])
+def test_content_blocks_partition_the_basis(k, d):
+    groups = {}
+    for key in enum_forests(k, d):
+        groups.setdefault(_content(key, k), []).append(key)
+    for content in product(range(d + 1), repeat=k):
+        assert enum_forests(k, d, content=content) == groups.get(content, []), (k, d, content)
+        # a content shorter than k leaves the colors past it bare
+        short = content[:-1] if content[-1] == 0 else None
+        if short is not None:
+            assert enum_forests(k, d, content=short) == groups.get(content, []), (k, d, short)
+
+
+def test_content_and_support_are_exclusive():
+    with pytest.raises(ValueError):
+        enum_forests(3, 2, 2, content=(1, 1))
+    with pytest.raises(ValueError):
+        enum_forests(2, 2, content=(1, 1, 1))
 
 
 # -- Chord diagrams ---------------------------------------------------------------

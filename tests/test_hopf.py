@@ -15,6 +15,8 @@ Core claims:
     - a product of forests with different k, of mixed kinds, or with an
       empty key raises DiagramError
     - tensor bookkeeping multiplies componentwise and flips cleanly
+    - tensor_product splits each forest key of its two tensors once, and
+      gives the sum of the pairwise products of the tensor factors
 """
 
 import itertools
@@ -31,8 +33,10 @@ from linkhom.diagrams import (
     empty,
     inject,
     segment,
+    split_trees,
     tripod,
 )
+from linkhom import hopf
 from linkhom.hopf import (
     coproduct,
     coproduct_key,
@@ -315,6 +319,19 @@ def test_tensor_product_componentwise():
     b = inject(segment(1, 3, 3))
     t = tensor(a, b)
     assert tensor_product(t, tensor(b, a)) == tensor(product(a, b), product(b, a))
+
+
+def test_tensor_product_splits_each_forest_key_once(monkeypatch):
+    keys = enum_forests(3, 2) + enum_forests(3, 1)
+    s, t = coproduct(LinComb.term(keys[0])), coproduct(LinComb.term(keys[-1]) + LinComb.term(keys[3]))
+    want = LinComb.zero()
+    for (a, b), cs in s.items():
+        for (c, d), ct in t.items():
+            want = want + tensor(product_keys(a, c), product_keys(b, d)).scale(cs * ct)
+    split = []
+    monkeypatch.setattr(hopf, "split_trees", lambda key: split.append(key) or split_trees(key))
+    assert tensor_product(s, t) == want
+    assert sorted(split) == sorted({key for x in (s, t) for pair, _ in x.items() for key in pair})
 
 
 def test_tensor_flip_involution():

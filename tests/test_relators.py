@@ -16,6 +16,8 @@ Core claims:
       whole forest keyed) over every basis forest of bhl 5/3, 4/4, 5/4 and
       the f(6,4) support block: same ids, same elements, same order
     - star relators sit at legs only; grafts that would be boring are 0
+    - star relators made for one color are those at the legs of that
+      color among all, with the same ids and elements, in the same order
     - IHX relators over the four-leaf trees have rank 1, leaving the
       two-dimensional space a Lyndon count predicts
     - 4T relators at degree 2 vanish identically and never exceed 4 terms;
@@ -286,6 +288,21 @@ def test_star_and_ihx_relators_match_the_whole_forest_oracle(k, d, m):
         assert r.element == w.element, r.rid
         # the terms were also met in the same order
         assert list(r.element._terms) == list(w.element._terms), r.rid
+
+
+@pytest.mark.parametrize("k, d, m", ORACLE_CELLS, ids=["5/3", "4/4", "5/4", "f(6,4)"])
+def test_star_relators_of_one_color_are_those_at_its_legs(k, d, m):
+    basis = enum_forests(k, d, m)
+    every = list(star_relators(basis))
+    for color in range(1, k + 1):
+        want = [r for r in every if _leg_color(r.rid) == color]
+        assert list(star_relators(basis, color)) == want, color
+
+
+def _leg_color(rid):
+    """The color of the leg that the id star:<key>:<u> names, byte 4 + u of the key."""
+    _, key, u = rid.split(":")
+    return bytes.fromhex(key)[4 + int(u)]
 
 
 # -- Surgery on tree bodies -----------------------------------------------------------

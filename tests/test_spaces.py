@@ -37,6 +37,19 @@ Core claims:
       dimension of its bhl block and of that multigraph count (the averaging
       map chi is an isomorphism block by block), and every ahsl block at
       d <= 3 that of its bhsl block
+    - at every budget cell, each non-increasing content of each bhl support
+      block has the dimension of the loopless multigraphs with that degree
+      sequence when its leg total is 2d, and 0 otherwise; the library's
+      representatives are among them, each with its number of permutations
+      as its orbit
+    - at f(5,4) and f(6,4), every content of the bhsl and bhl block, not
+      only a representative, has the basis size, relator counts and rank
+      of its sorted representative: the colors' permutations carry content
+      blocks onto each other
+    - the whole cell taken as one block, by contents with bare colors,
+      gives the whole-cell report
+    - the f(6,6) bhl block has basis 78885, rank 63770 and dimension 15115,
+      the multigraph count: the main statement holds there
 """
 
 import itertools
@@ -63,10 +76,12 @@ from linkhom.relators import (four_t_relators, ihx_relators, link1_relators, one
 from linkhom.bases import enum_forests
 from linkhom.bounded import enum_bounded
 from linkhom.spaces import (
+    _contents,
     _relators_for,
     check_budget,
     chi,
     dim_block,
+    dim_content,
     dim_space,
     monomial_str,
     reduce_to_monomials,
@@ -195,6 +210,89 @@ def test_support_block_dim_counts_multigraphs(space, m, d):
     block = dim_block(space, max(m, 1), d, m)
     want = full_support_multigraphs(m, d)
     assert block.dim == want, f"{space} block on colors 1..{m}, d={d}: dim {block.dim}, want {want}"
+
+
+BUDGET_CELLS = [(k, d) for k in range(1, 6) for d in range(4)] + [(k, 4) for k in range(1, 5)]
+
+
+def multigraphs_with_degrees(degrees) -> int:
+    """Loopless multigraphs on labeled vertices with these degrees: the
+    first vertex's edges go to the others in every way, then the rest."""
+    if not degrees:
+        return 1
+    rest = list(degrees[1:])
+
+    def spread(left, i):
+        if i == len(rest):
+            return 0 if left else multigraphs_with_degrees(tuple(rest))
+        total = 0
+        for x in range(min(left, rest[i]) + 1):
+            rest[i] -= x
+            total += spread(left - x, i + 1)
+            rest[i] += x
+        return total
+    return spread(degrees[0], 0)
+
+
+def block_contents(m: int, d: int) -> list:
+    """Every leg count vector of m positive entries that a degree-d forest
+    on colors 1..m could have: at most d legs of a color, d + 1 to 2d legs
+    in all, or none at d = 0."""
+    if d == 0:
+        return [()] if m == 0 else []
+    return [c for c in itertools.product(range(1, d + 1), repeat=m) if d < sum(c) <= 2 * d]
+
+
+def test_multigraph_oracle_values():
+    # a triangle; a 4-cycle three ways or two double edges three ways
+    assert multigraphs_with_degrees((2, 2, 2)) == 1
+    assert multigraphs_with_degrees((2, 2, 2, 2)) == 6
+    assert multigraphs_with_degrees((3, 2, 2, 1)) == 3
+    # summed over the contents of a block, the degree sequences give the block's count
+    for m, d in [(3, 3), (4, 3), (4, 4), (5, 4)]:
+        assert sum(multigraphs_with_degrees(c) for c in block_contents(m, d)
+                   if sum(c) == 2 * d) == full_support_multigraphs(m, d), (m, d)
+
+
+@pytest.mark.parametrize("k,d", BUDGET_CELLS)
+def test_content_dim_counts_multigraphs_of_its_degree_sequence(k, d):
+    for m in range(min(k, 2 * d) + 1):
+        reps = {tuple(sorted(c, reverse=True)) for c in block_contents(m, d)}
+        orbits = dict(_contents(m, d, 1))
+        assert set(orbits) <= reps, (m, d)
+        for content in sorted(reps):
+            want = multigraphs_with_degrees(content) if sum(content) == 2 * d else 0
+            got = dim_content("bhl", k, d, content)
+            assert got.dim == want, f"m={m}, d={d}, content {content}: dim {got.dim}, want {want}"
+            if content in orbits:
+                assert orbits[content] == len(set(itertools.permutations(content))), content
+            else:
+                assert got.basis_size == 0, (m, d, content)
+
+
+@pytest.mark.parametrize("space", ["bhsl", "bhl"])
+@pytest.mark.parametrize("m,d", [(5, 4), (6, 4)], ids=["f(5,4)", "f(6,4)"])
+def test_every_content_has_the_sizes_of_its_representative(space, m, d):
+    reps = {}
+    for content in block_contents(m, d):
+        rep = tuple(sorted(content, reverse=True))
+        if rep not in reps:
+            reps[rep] = dim_content(space, m, d, rep)
+        got, want = dim_content(space, m, d, content), reps[rep]
+        assert (got.basis_size, got.relator_counts, got.rank) == \
+            (want.basis_size, want.relator_counts, want.rank), (m, d, content)
+
+
+@pytest.mark.parametrize("space", ["bhsl", "bhl"])
+@pytest.mark.parametrize("k,d", [(k, d) for k in range(1, 5) for d in range(4)])
+def test_whole_cell_block_by_contents_matches_the_whole_cell(space, k, d):
+    assert dim_block(space, k, d).to_doc() == whole_cell_doc(space, k, d)
+
+
+def test_f66_block_satisfies_the_main_statement():
+    block = dim_block("bhl", 6, 6, 6)
+    assert (block.basis_size, block.rank, block.dim) == (78885, 63770, 15115)
+    assert block.dim == full_support_multigraphs(6, 6)
 
 
 @pytest.mark.parametrize("d", range(6))
