@@ -4,8 +4,8 @@ Every relator is a linear combination of canonical keys together with a
 stable id.  Relators are generated from canonical basis representatives and
 each id carries the hex key of its basis element, so ids are reproducible
 across runs; elements may be zero (still generated and counted, dropped
-when building matrices).  All but the 1T and full 4T lists are yielded one
-at a time, so a caller that counts and reduces them keeps none.
+when building matrices).  All but the 1T list are yielded one at a time,
+so a caller that counts and reduces them keeps none.
 Coefficients are the ints +-1 (summed where terms meet).  No Diagram is
 built here: a graft known to be boring is not built, and the base term of
 IHX, STU, link1 and 4T is the basis key itself, with sign +1.
@@ -269,9 +269,19 @@ def _four_t_placements(pairing, p: int) -> list:
     return out
 
 
-def _four_t_rows(basis, mod_1t: bool):
-    """The relators of four_t_relators, or with mod_1t of
-    four_t_relators_mod_1t, one at a time."""
+def four_t_relators(basis, mod_1t=False):
+    """Four-term relators at every adjacent endpoint pair (p, p+1) that is
+    not one chord, one at a time; basis is a list of chord keys.  The
+    endpoint at p hops across the near end q = p+1 of the other chord and
+    across its far end r, and the four placements cancel:
+    (before q) - (after q) + (before r) - (after r) = 0.  With mod_1t, a
+    term whose pairing has an isolated chord is dropped before it is keyed,
+    as rotation keeps that property.  Elements may be zero.
+
+    Placements recur across keys and endpoints (at d = 6, the 10635 kept
+    modulo 1T are 1942 distinct pairings), so a dict dropped on return keys
+    each raw placement once: to the basis's own key object, which the rows
+    then share, or to None when it is dropped."""
     own, keyed = {key: key for key in basis}, {}
     for key in basis:
         pairing = key[2:]
@@ -287,24 +297,3 @@ def _four_t_rows(basis, mod_1t: bool):
                     if made is not None:
                         _add(terms, made, sign)
                 yield Relator(f"4t:{key.hex()}:{p}", _element(terms))
-
-
-def four_t_relators(basis) -> list:
-    """Four-term relators at every adjacent endpoint pair (p, p+1) that is
-    not one chord, keyed as in four_t_relators_mod_1t; basis is a list of
-    chord keys.  The endpoint at p hops across the near end q = p+1 of the
-    other chord and across its far end r, and the four placements cancel:
-    (before q) - (after q) + (before r) - (after r) = 0."""
-    return list(_four_t_rows(basis, False))
-
-
-def four_t_relators_mod_1t(basis):
-    """The relators of four_t_relators, one at a time, modulo 1T: a term
-    whose pairing has an isolated chord is dropped before it is keyed, as
-    rotation keeps that property.  Elements may be zero.
-
-    Placements recur across keys and endpoints (at d = 6, the 10635 kept
-    ones are 1942 distinct pairings), so a dict dropped on return keys each
-    raw placement once: to the basis's own key object, which the rows then
-    share, or to None when it is dropped."""
-    return _four_t_rows(basis, True)

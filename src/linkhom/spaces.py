@@ -36,6 +36,8 @@ the rows it meets.
 A chord diagram with an isolated chord is a 1T relator by itself, so the
 chord rank is the number of those keys plus the rank of the 4T relators
 modulo 1T, over the other keys with the ones of more crossings first.
+four_t_span makes that span, and the full 4T span over every key that
+hopf-check compares chord classes in.
 """
 
 from __future__ import annotations
@@ -242,21 +244,29 @@ def dim_space(space: str, k, d: int, budget=None) -> SpaceReport:
     return report
 
 
-def _dim_chord(d: int) -> SpaceReport:
-    """The chord cell on the 1T quotient, as the module docstring says; a
-    row equal to an earlier one up to sign reduces to zero, so it is left
-    out, and the 4t count is still every relator."""
+def four_t_span(d: int, mod_1t: bool):
+    """(4T matrix, chord keys, 4T relator count) of degree d.  The columns
+    put the keys with more crossings first; with mod_1t they are only the
+    keys with no isolated chord, and the rows are the 4T relators modulo
+    1T.  A row equal to an earlier one up to sign reduces to zero, so it is
+    left out, and the count is still every relator."""
     keys = ch.enum_chord(d)
-    columns = sorted((key for key in keys if not ch.has_isolated_chord(key[2:])),
+    columns = sorted((key for key in keys if not (mod_1t and ch.has_isolated_chord(key[2:]))),
                      key=lambda key: (-ch.crossings(key), key))
     rows, seen, count = [], set(), 0
-    for r in rel.four_t_relators_mod_1t(keys):
+    for r in rel.four_t_relators(keys, mod_1t):
         count += 1
         if r.element and r.element not in seen:
             seen.update((r.element, -r.element))
             rows.append(r)
-    one_t = len(keys) - len(columns)
-    rank = one_t + relator_matrix(columns, rows).rank()
+    return relator_matrix(columns, rows), keys, count
+
+
+def _dim_chord(d: int) -> SpaceReport:
+    """The chord cell on the 1T quotient, as the module docstring says."""
+    matrix, keys, count = four_t_span(d, mod_1t=True)
+    one_t = len(keys) - len(matrix.columns)
+    rank = one_t + matrix.rank()
     return SpaceReport("chord", None, d, len(keys), {"1t": one_t, "4t": count}, rank,
                        len(keys) - rank)
 

@@ -16,7 +16,8 @@ Core claims:
     - a certificate with any one relator id or field changed fails
       check-cert with a documented exit code and a one-line message
     - a budget flag for one side leaves the chord degree at its default
-    - verify --certs rejects an unusable directory before it verifies
+    - verify --certs rejects an unusable directory before it verifies, and
+      an unknown --theorem is a usage error that names the valid choice
     - check-cert proves bhl certificates only and needs the space field
     - a target key or diagram document that encodes no valid diagram is a
       one-line error, exit 4 for check-cert and 5 for reduce and chi; a
@@ -471,6 +472,11 @@ def test_verify_then_check_cert(tmp_path):
     assert len(files) == 4
     for path in files:
         assert json.loads(_run("check-cert", "--cert", str(path), "--json"))["ok"] is True
+
+
+def test_verify_unknown_theorem_is_2():
+    out = _proc("verify", "--theorem", "x", "-k", "2", "--max-degree", "1", expect=2)
+    assert out.stdout == "" and "--theorem" in out.stderr and "'main'" in out.stderr, out.stderr
 
 
 @pytest.mark.parametrize("where", ["file", "under-file"])

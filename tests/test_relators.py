@@ -62,7 +62,6 @@ from linkhom.relators import (
     _graft,
     _interesting_graft,
     four_t_relators,
-    four_t_relators_mod_1t,
     ihx_relators,
     link1_relators,
     one_t_relators,
@@ -473,8 +472,8 @@ def test_4t_relators_match_the_oracle(d):
 @pytest.mark.parametrize("d", range(6))
 def test_4t_relators_mod_1t_drop_the_1t_keys(d):
     basis = enum_chord(d)
-    full = four_t_relators(basis)
-    quotient = list(four_t_relators_mod_1t(basis))
+    full = list(four_t_relators(basis))
+    quotient = list(four_t_relators(basis, mod_1t=True))
     assert [r.rid for r in quotient] == [r.rid for r in full]
     for r, q in zip(full, quotient):
         assert q.element == LinComb((key, c) for key, c in r.element.items()
@@ -491,7 +490,7 @@ def test_4t_relators_mod_1t_match_the_oracle(d):
                          if not has_isolated_chord(k[2:])]
                 want.append(Relator(f"4t:{key.hex()}:{p}", LinComb(terms)))
     basis = enum_chord(d)
-    got = list(four_t_relators_mod_1t(basis))
+    got = list(four_t_relators(basis, mod_1t=True))
     assert got == want
     # every term is the basis's own key object, not a fresh copy
     own = {id(key) for key in basis}

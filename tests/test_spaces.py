@@ -6,6 +6,11 @@ Core claims:
     - string-link dims match the symmetric-algebra reference values
     - bounded-side dims agree with forest-side dims where both are in budget
     - knot chord dims modulo 1T+4T are 0, 1, 1, 3, 4, 9 at d = 1..6
+    - the full 4T span that hopf-check reduces against, with crossings-first
+      columns and repeated rows left out, has the rank of every 4T relator
+      over the sorted keys, and holds each one, at d = 0..5
+    - the primitive dims, the chord dims modulo 1T minus the rank of the
+      connect sums of lower degrees, are 1, 1, 2, 3, 5, 8 at n = 2..7
     - the chord report, taken on the 1T quotient with crossings-first
       columns and repeated rows left out, equals the whole-cell report of
       every 1T and 4T relator over the sorted keys at d = 0..6
@@ -60,6 +65,7 @@ from math import comb
 
 import pytest
 
+from linkhom.chords import connect_sum, enum_chord, has_isolated_chord
 from linkhom.diagrams import (
     canonical_diagram,
     canonicalize,
@@ -83,6 +89,7 @@ from linkhom.spaces import (
     dim_block,
     dim_content,
     dim_space,
+    four_t_span,
     monomial_str,
     reduce_to_monomials,
     relator_by_id,
@@ -119,7 +126,7 @@ def whole_cell_doc(space: str, k, d: int) -> dict:
     support-block sum, and for chord for the 1T quotient."""
     keys = space_basis(space, k, d)
     if space == "chord":
-        groups = {"1t": one_t_relators(keys), "4t": four_t_relators(keys)}
+        groups = {"1t": one_t_relators(keys), "4t": list(four_t_relators(keys))}
     else:
         groups = {name: list(rs) for name, rs in _relators_for(space, keys).items()}
     rank = relator_matrix(keys, [r for rs in groups.values() for r in rs]).rank()
@@ -308,6 +315,39 @@ def test_bounded_blocks_match_forest_blocks_at_k5(d):
 @pytest.mark.parametrize("d,dim", [(1, 0), (2, 1), (3, 1), (4, 3), (5, 4), (6, 9)])
 def test_knot_chord_dims(d, dim):
     assert dim_space("chord", None, d, budget=(None, 6)).dim == dim
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_full_four_t_span_is_every_4t_relator(d):
+    # hopf-check's span: crossings-first columns and repeated rows left
+    # out, over every key; the reference takes every relator, sorted keys
+    span, keys, count = four_t_span(d, mod_1t=False)
+    relators = list(four_t_relators(keys))
+    assert sorted(span.columns) == keys and count == len(relators), d
+    assert span.rank() == relator_matrix(keys, relators).rank(), d
+    for r in relators:
+        assert span.residual(r.element).is_zero(), (d, r.rid)
+
+
+#: (dim A_n, dim P_n) of the chord algebra modulo 1T and its primitives,
+#: n = 2..7 (Bar-Natan, "On the Vassiliev knot invariants", 1995)
+CHORD_PRIMITIVE_DIMS = {2: (1, 1), 3: (1, 1), 4: (3, 2), 5: (4, 3), 6: (9, 5), 7: (14, 8)}
+
+
+@pytest.mark.parametrize("n", sorted(CHORD_PRIMITIVE_DIMS))
+def test_primitive_dims_from_connect_sums(n):
+    # the algebra is polynomial on its primitives (Milnor-Moore), so P_n
+    # is A_n modulo the products of lower degrees; a degree-1 factor, or
+    # any product key with an isolated chord, is 0 modulo 1T
+    span, _, _ = four_t_span(n, mod_1t=True)
+    products = {connect_sum(a, b) for i in range(2, n - 1)
+                for a in enum_chord(i) for b in enum_chord(n - i)}
+    decomposable = SparseRationalMatrix(span.columns)
+    for key in sorted(products):
+        if not has_isolated_chord(key[2:]):
+            decomposable.add_row(span.residual(LinComb.term(key)))
+    dim_a = len(span.columns) - span.rank()
+    assert (dim_a, dim_a - decomposable.rank()) == CHORD_PRIMITIVE_DIMS[n], n
 
 
 def test_space_report_doc_shape():
