@@ -3,7 +3,8 @@
 Rows are sparse integer vectors over a fixed column order of canonical
 keys; a relator with integer coefficients enters as it is, one with
 rational coefficients as the integer multiple that clears its
-denominators.  Elimination is fraction-free and deterministic: rows are
+denominators, and an integer row over the column indices through
+add_int_row.  Elimination is fraction-free and deterministic: rows are
 processed in input order, a reduction step at column col is
 vec <- a*vec - b*pvec with a = lead/g, b = vec[col]/g and
 g = gcd(vec[col], lead), and a row that survives becomes a pivot after
@@ -86,9 +87,14 @@ class SparseRationalMatrix:
 
     def add_row(self, element: LinComb, rid=None):
         """Reduce element against the pivots; keep it when a pivot is left."""
+        row, m = self._to_cols(element)
+        self.add_int_row(row, rid, m)
+
+    def add_int_row(self, row: dict, rid=None, m: int = 1):
+        """Reduce the integer row {col: int}, m times the relator rid,
+        against the pivots; keep it when a pivot is left."""
         if rid is None:
             rid = f"row{len(self.rows)}"
-        row, m = self._to_cols(element)
         vec = dict(row)
         self._reduce(vec, self._pivots)
         self._exprs = None

@@ -36,8 +36,16 @@ the rows it meets.
 A chord diagram with an isolated chord is a 1T relator by itself, so the
 chord rank is the number of those keys plus the rank of the 4T relators
 modulo 1T, over the other keys with the ones of more crossings first.
-four_t_span makes that span, and the full 4T span over every key that
-hopf-check compares chord classes in.
+Those rows need only be made at the other keys.  Write the relation at
+site (key, p) as bq - aq + br - ar: the moving end sits before or after
+q = p+1, then before or after r, the far end of q's chord c.  It is made
+again at its br term, with the same sign.  Say bq has an isolated chord.
+A third chord is isolated in all four terms; for c, bq and ar have c
+isolated and aq = br; either way the relation is 0 modulo 1T.  The moving
+chord is not isolated in br.  So every relation that is nonzero modulo 1T
+is made at some key with no isolated chord.  four_t_span makes that span,
+and the full 4T span over every key that hopf-check compares chord
+classes in.
 """
 
 from __future__ import annotations
@@ -55,7 +63,7 @@ from .bases import enum_forests
 from .diagrams import KEY_BYTE_MAX, Diagram, canonical_diagram, canonicalize, is_boring
 from .errors import BudgetError, DiagramError, UsageError, VerificationError
 from .lincomb import LinComb
-from .qlinalg import MembershipCertificate, SparseRationalMatrix, relator_matrix, verify_certificate
+from .qlinalg import MembershipCertificate, SparseRationalMatrix, verify_certificate
 
 SPACES = ("bhsl", "bhl", "ahsl", "ahl", "chord")
 
@@ -248,18 +256,27 @@ def four_t_span(d: int, mod_1t: bool):
     """(4T matrix, chord keys, 4T relator count) of degree d.  The columns
     put the keys with more crossings first; with mod_1t they are only the
     keys with no isolated chord, and the rows are the 4T relators modulo
-    1T.  A row equal to an earlier one up to sign reduces to zero, so it is
-    left out, and the count is still every relator."""
+    1T.  Rows are made as integer rows over the column indices, at the
+    column keys only, as the module docstring says, and each distinct row
+    is kept once, its lead made positive.  They are added latest lead
+    first, ties broken on the row, so the order is fixed and elimination
+    meets the short rows at the sparse keys first.  The count is every 4T
+    site of every key; no relator is built for it."""
     keys = ch.enum_chord(d)
     columns = sorted((key for key in keys if not (mod_1t and ch.has_isolated_chord(key[2:]))),
                      key=lambda key: (-ch.crossings(key), key))
-    rows, seen, count = [], set(), 0
-    for r in rel.four_t_relators(keys, mod_1t):
-        count += 1
-        if r.element and r.element not in seen:
-            seen.update((r.element, -r.element))
-            rows.append(r)
-    return relator_matrix(columns, rows), keys, count
+    n = 2 * d
+    count = sum(key[2 + p] != (p + 1) % n for key in keys for p in range(n))
+    index = {key: i for i, key in enumerate(columns)}
+    rows = set()
+    for _, _, terms in rel.four_t_sites(columns, mod_1t, index.__getitem__):
+        if terms:
+            row = sorted(terms.items())
+            rows.add(tuple(row) if row[0][1] > 0 else tuple((c, -x) for c, x in row))
+    matrix = SparseRationalMatrix(columns)
+    for row in sorted(rows, key=lambda row: (-row[0][0], row)):
+        matrix.add_int_row(dict(row))
+    return matrix, keys, count
 
 
 def _dim_chord(d: int) -> SpaceReport:

@@ -455,7 +455,7 @@ def test_chord_7_keys():
 
 
 def test_chord_7_dim_line():
-    # about 4 s: the one chord cell past the benchmark's
+    # about 1 s: the one chord cell past the benchmark's
     assert _main_stdout("--json", "dim", "--space", "chord", "-d", "7", "--budget-d", "7") == (
         '{"basis":9749,"d":7,"dim":14,"k":null,"rank":9735,'
         '"relators":{"1t":6531,"4t":126004},"space":"chord"}\n')

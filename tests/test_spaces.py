@@ -329,6 +329,32 @@ def test_full_four_t_span_is_every_4t_relator(d):
         assert span.residual(r.element).is_zero(), (d, r.rid)
 
 
+@pytest.mark.parametrize("d", range(7))
+def test_quotient_four_t_span_is_every_4t_relator_mod_1t(d):
+    # the chord quotient's span makes rows at the keys with no isolated
+    # chord only; every 4T relator modulo 1T, at every key, is the oracle
+    span, keys, count = four_t_span(d, mod_1t=True)
+    relators = list(four_t_relators(keys, mod_1t=True))
+    assert count == len(relators), d
+    assert span.rank() == relator_matrix(span.columns, relators).rank(), d
+    at_columns = set()
+    for r in relators:
+        if not has_isolated_chord(bytes.fromhex(r.rid.split(":")[1])[2:]):
+            at_columns.update((r.element, -r.element))
+    for r in relators:
+        assert not r.element or r.element in at_columns, (d, r.rid)
+        assert span.residual(r.element).is_zero(), (d, r.rid)
+
+
+def test_four_t_span_row_order_is_fixed():
+    # rows go in latest lead first, ties broken on the row, so two calls
+    # make the same pivots
+    span = four_t_span(6, mod_1t=True)[0]
+    assert span._eliminate() == four_t_span(6, mod_1t=True)[0]._eliminate()
+    order = [(-min(row), sorted(row.items())) for _, row, _ in span.rows]
+    assert order == sorted(order)
+
+
 #: (dim A_n, dim P_n) of the chord algebra modulo 1T and its primitives,
 #: n = 2..7 (Bar-Natan, "On the Vassiliev knot invariants", 1995)
 CHORD_PRIMITIVE_DIMS = {2: (1, 1), 3: (1, 1), 4: (3, 2), 5: (4, 3), 6: (9, 5), 7: (14, 8)}
