@@ -18,8 +18,4 @@ class BudgetError(RuntimeError):
 
 
 class VerificationError(RuntimeError):
-    """A mechanical check failed; carries the offending object when known."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """A mechanical check failed; the message names the failing object."""

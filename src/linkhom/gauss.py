@@ -9,7 +9,9 @@ PD format: lines `X[a,b,c,d]` list the four arcs counterclockwise from the
 incoming under-arc a (so the under strand runs a -> c), then one line per
 component `component: a1 a2 ...` giving its arc cycle in orientation order.
 The over strand runs d -> b for a positive crossing and b -> d for a negative
-one; the direction is read off the component cycles.
+one; it is read off the component cycles in one pass after the unders (two
+open directions make {b, d} a two-arc component that no other crossing can
+close: ambiguous).  Blank and # lines are skipped in both formats.
 
 Moves: random_homotopy_move reads one table, _MOVES, of (name, site finder,
 move) for R1 and R2 addition and removal, R3 and a self-crossing sign flip.
@@ -22,7 +24,6 @@ not a kink, so R1 removal skips it.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 
@@ -74,12 +75,27 @@ def _link(components, signs) -> GaussLink:
                      tuple(sorted(signs.items())))
 
 
+def _lines(text: str):
+    """(file line number, stripped text) of each line not blank or a comment."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield ln, line
+
+
+def _int(digits: str, where: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:      # past the interpreter's digit limit
+        raise ParseError(f"{where}: integer of {len(digits)} digits is too long to read") from None
+
+
 def parse_gauss(text: str) -> GaussLink:
     components, signs = [], {}
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = list(_lines(text))
     if not lines:
         raise ParseError("no components")
-    for ln, line in enumerate(lines, start=1):
+    for ln, line in lines:
         tokens = line.split()
         if tokens == ["()"]:
             components.append([])
@@ -91,7 +107,7 @@ def parse_gauss(text: str) -> GaussLink:
                 hint = "missing sign" if re.match(r"\d", tok) else "expected +id^o or -id^u"
                 raise ParseError(f"line {ln}, token {ti}: {hint}: {tok!r}")
             sign = 1 if m.group(1) == "+" else -1
-            cid = int(m.group(2))
+            cid = _int(m.group(2), f"line {ln}, token {ti}")
             role = m.group(3)
             if signs.setdefault(cid, sign) != sign:
                 raise ParseError(f"line {ln}, token {ti}: sign conflict at crossing {cid}")
@@ -106,10 +122,7 @@ _PD_X = re.compile(r"X\[(\d+),(\d+),(\d+),(\d+)\]$")
 def parse_pd(text: str) -> GaussLink:
     crossings = []
     cycles = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _lines(text):
         if line.startswith("component:"):
             try:
                 cycles.append([int(a) for a in line[len("component:"):].split()])
@@ -119,7 +132,7 @@ def parse_pd(text: str) -> GaussLink:
         m = _PD_X.match(line.replace(" ", ""))
         if not m:
             raise ParseError(f"line {ln}: expected X[a,b,c,d] or component: line")
-        crossings.append(tuple(int(g) for g in m.groups()))
+        crossings.append(tuple(_int(g, f"line {ln}") for g in m.groups()))
     if not crossings or not cycles:
         raise ParseError("need at least one X[...] and one component: line")
 
@@ -131,8 +144,8 @@ def parse_pd(text: str) -> GaussLink:
             nxt[arc] = cyc[(i + 1) % len(cyc)]
 
     # Every walk step (arc, next arc) is one passage through one crossing.
-    # Unders are forced (a -> c); overs take whichever direction is left,
-    # iterating since a 2-arc cycle offers both directions at first sight.
+    # Unders are forced (a -> c) and all taken first; then each over strand
+    # takes the one direction left, in one pass (module docstring).
     passages = {}
     signs = {}
     used = set()
@@ -143,26 +156,17 @@ def parse_pd(text: str) -> GaussLink:
             raise ParseError(f"crossing {cid}: arc {a} already consumed")
         passages[(a, c)] = (cid, "u")
         used.add(a)
-    pending = list(enumerate(crossings, start=1))
-    while pending:
-        stuck = True
-        rest = []
-        for cid, (a, b, c, d) in pending:
-            options = [(src, dst) for src, dst in dict.fromkeys(((d, b), (b, d)))
-                       if nxt.get(src) == dst and src not in used]
-            if len(options) == 1:
-                src, dst = options[0]
-                passages[(src, dst)] = (cid, "o")
-                used.add(src)
-                signs[cid] = 1 if (src, dst) == (d, b) else -1
-                stuck = False
-            elif not options:
-                raise ParseError(f"crossing {cid}: cannot orient over strand from component cycles")
-            else:
-                rest.append((cid, (a, b, c, d)))
-        if stuck and rest:
-            raise ParseError(f"crossing {rest[0][0]}: over strand direction is ambiguous")
-        pending = rest
+    for cid, (a, b, c, d) in enumerate(crossings, start=1):
+        options = [(src, dst) for src, dst in dict.fromkeys(((d, b), (b, d)))
+                   if nxt.get(src) == dst and src not in used]
+        if not options:
+            raise ParseError(f"crossing {cid}: cannot orient over strand from component cycles")
+        if len(options) > 1:
+            raise ParseError(f"crossing {cid}: over strand direction is ambiguous")
+        src, dst = options[0]
+        passages[(src, dst)] = (cid, "o")
+        used.add(src)
+        signs[cid] = 1 if (src, dst) == (d, b) else -1
 
     components = []
     for ci, cyc in enumerate(cycles):
@@ -332,9 +336,7 @@ _MOVES = (
 def random_homotopy_move(L: GaussLink, rng):
     """One random move among R1/R2 add/remove, R3, and a self-crossing sign
     flip, drawn uniformly among the moves that apply; R1 and R2 additions
-    always apply.  Returns (link, move name)."""
-    if isinstance(rng, int):
-        rng = random.Random(rng)
+    always apply.  rng is a random.Random.  Returns (link, move name)."""
     moves = [(name, move, sites) for name, find, move in _MOVES
              if (sites := find and find(L)) != []]
     name, move, sites = moves[rng.randrange(len(moves))]

@@ -44,13 +44,13 @@ def _require(cond, where, message):
 
 
 def _load(doc):
-    """A document given as JSON text, decoded; a dict or list as it is.
-    Text that is not JSON, or nests too deeply to decode, is a ParseError."""
+    """A document given as JSON text, decoded; a dict or list as it is.  Text
+    that is not JSON, nests too deeply or passes the digit limit is a ParseError."""
     if not isinstance(doc, (str, bytes)):
         return doc
     try:
         return json.loads(doc)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
 
 

@@ -116,6 +116,15 @@ def terms_doc(lc: LinComb) -> list:
     return [{"key": k.hex(), "coeff": str(c)} for k, c in lc.items()]
 
 
+def coeff_from_doc(x) -> Fraction:
+    """A coefficient as terms_doc writes it: a JSON string -?[0-9]+(/[0-9]+)?.
+    Any other value, such as 1.0, " 1 ", true, 1 or 1e9, is a ValueError."""
+    parts = x.removeprefix("-").split("/") if isinstance(x, str) else []
+    if not 1 <= len(parts) <= 2 or not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"coefficient {x!r} is not a string p or p/q")
+    return Fraction(x)
+
+
 def lincomb_from_doc(doc) -> LinComb:
     """Inverse of terms_doc: a JSON array naming each key at most once."""
     if not isinstance(doc, list):
@@ -125,7 +134,7 @@ def lincomb_from_doc(doc) -> LinComb:
         key = bytes.fromhex(t["key"])
         if key in terms:
             raise ValueError(f"key {t['key']} is listed twice")
-        terms[key] = Fraction(t["coeff"])
+        terms[key] = coeff_from_doc(t["coeff"])
     return LinComb(terms)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .lincomb import LinComb, doc_field, lincomb_from_doc, terms_doc
+from .lincomb import LinComb, coeff_from_doc, doc_field, lincomb_from_doc, terms_doc
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def _combination_from_doc(terms) -> tuple:
     for t in terms:
         if not isinstance(t["relator"], str):
             raise TypeError(f"relator id {t['relator']!r} is not a string")
-        out.append((t["relator"], Fraction(t["coeff"])))
+        out.append((t["relator"], coeff_from_doc(t["coeff"])))
     return tuple(out)
 
 

@@ -41,7 +41,6 @@ from typing import NamedTuple
 from . import chords as ch
 from .bounded import joined, slot_trees
 from .diagrams import join_trees, key_tree, recolored, split_trees
-from .errors import DiagramError
 from .lincomb import LinComb
 
 
@@ -255,8 +254,6 @@ def _four_t_placements(pairing, p: int) -> list:
     and one translate to the new labels; before q is the pairing itself."""
     n = len(pairing)
     q = (p + 1) % n
-    if pairing[p] == q:
-        raise DiagramError("endpoints belong to one chord")
     i, j = q - (q > p), pairing[q] - (pairing[q] > p)
     out = []
     for pos, sign in ((i + 1, -1), (j, 1), (j + 1, -1)):
@@ -301,10 +298,10 @@ def four_t_sites(basis, mod_1t, label):
                 yield key, p, terms
 
 
-def four_t_relators(basis, mod_1t=False):
-    """The four-term relators of four_t_sites, one at a time; basis is a
-    list of chord keys.  Each term is the basis's own key object, which the
-    rows then share.  Elements may be zero."""
+def four_t_relators(basis):
+    """The full four-term relators of four_t_sites, one at a time, 1T terms
+    kept; basis is a list of chord keys.  Each term is the basis's own key
+    object, which the rows then share.  Elements may be zero."""
     own = {key: key for key in basis}
-    for key, p, terms in four_t_sites(basis, mod_1t, lambda k: own.setdefault(k, k)):
+    for key, p, terms in four_t_sites(basis, False, lambda k: own.setdefault(k, k)):
         yield Relator(f"4t:{key.hex()}:{p}", _element(terms))

@@ -176,16 +176,16 @@ def block_matrix(space: str, k, d: int, support=None):
     return matrix, keys, counts
 
 
-def _contents(palette: int, d: int, least: int):
-    """(content, orbit size) of each non-increasing content on this many
-    colors, each count at least least, that a degree-d forest can have.
-    The orbit is the content's permutations: palette! over the product of
-    its multiplicities' factorials."""
-    for content in itertools.combinations_with_replacement(range(d, least - 1, -1), palette):
+def _contents(m: int, d: int):
+    """(content, orbit size) of each non-increasing content on colors 1..m,
+    each used at least once, that a degree-d forest can have.  The orbit is
+    the content's permutations: m! over the product of its multiplicities'
+    factorials."""
+    for content in itertools.combinations_with_replacement(range(d, 0, -1), m):
         trees = sum(content) - d
         # a forest is empty, or has d + t legs for t trees, at most t of a color
         if trees == d == 0 or 0 < trees <= d and content[0] <= trees:
-            yield content, factorial(palette) // prod(map(factorial, Counter(content).values()))
+            yield content, factorial(m) // prod(map(factorial, Counter(content).values()))
 
 
 def dim_content(space: str, k, d: int, content) -> SpaceReport:
@@ -219,20 +219,18 @@ def _accumulate(total: SpaceReport, part: SpaceReport, mult: int) -> None:
         total.relator_counts[name] = total.relator_counts.get(name, 0) + mult * count
 
 
-def dim_block(space: str, k, d: int, support=None) -> SpaceReport:
-    """The report of one block of the (k, d) cell: with support=m the part
-    on colors exactly 1..m, else the whole cell.  A bhsl or bhl block is
-    the sum of its representative content blocks, each times its orbit;
-    any other is reduced whole, as block_matrix takes it.  The relators
-    are counted and reduced, and none is kept."""
+def dim_block(space: str, k, d: int, support: int) -> SpaceReport:
+    """The report of the block of the (k, d) cell on colors exactly 1..support:
+    for bhsl and bhl the sum of its representative content blocks, each
+    times its orbit, else reduced whole as block_matrix takes it.  The
+    relators are counted and reduced, and none is kept."""
     if space not in ("bhsl", "bhl"):
         matrix, keys, counts = block_matrix(space, k, d, support)
         rank = matrix.rank()
         return SpaceReport(space, k, d, len(keys), counts, rank, len(keys) - rank)
     # every kind is counted from 0, so a block with no forest still names it
     report = SpaceReport(space, k, d, 0, dict.fromkeys(_relators_for(space, ()), 0))
-    palette, least = (k, 0) if support is None else (support, 1)
-    for content, orbit in _contents(palette, d, least):
+    for content, orbit in _contents(support, d):
         _accumulate(report, dim_content(space, k, d, content), orbit)
     return report
 
@@ -311,10 +309,7 @@ def verify_main_theorem(k: int, max_degree: int, budget=None) -> list:
                 continue
             cert = matrix.membership(LinComb.term(key))
             if not cert.is_member:
-                raise VerificationError(
-                    f"forest {key.hex()} of degree {d} escapes the relation span",
-                    witness=canonical_diagram(key),
-                )
+                raise VerificationError(f"forest {key.hex()} of degree {d} escapes the relation span")
             certs.append(cert)
     return certs
 

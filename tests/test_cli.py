@@ -10,7 +10,9 @@ Core claims:
     - check-cert tests a certificate's claim, not only its arithmetic, and
       names the offending field or relator of a bad document, including a
       star id at an internal vertex or past the vertex count and an IHX id
-      at a leg edge or past the edge count
+      at a leg edge or past the edge count; a coefficient is only a string
+      p or p/q, as verify writes it, and 1.0, " 1 ", true, 1 and exponent
+      forms exit 5 naming their field
     - an unreadable input file or a negative budget is a one-line error, and
       a zero budget bounds its side
     - a certificate with any one relator id or field changed fails
@@ -23,8 +25,9 @@ Core claims:
       one-line error, exit 4 for check-cert and 5 for reduce and chi; a
       diagram document's message names the field, and an integer field
       that holds true, 1.0, an array or an object is such a document
-    - JSON nested past the decoder's depth and diagrams too large to key
-      exit 5 with one line, not a traceback
+    - JSON nested past the decoder's depth, a JSON integer past CPython's
+      4300-digit limit and diagrams too large to key exit 5 with one line,
+      not a traceback
     - chi checks the ahl budget at the input's degree; reduce and chi take
       -k >= 1 and lk takes --fuzz >= 0, or exit 2 before reading the input
     - hopf-check counts the pairs it checks, pinned at four settings; at
@@ -260,6 +263,19 @@ def test_deeply_nested_json_is_5(tmp_path, argv):
     path.write_text("[" * 200000)
     err = _proc(*argv, str(path), expect=5).stderr
     assert err.startswith("parse error: not valid JSON: "), err
+    assert "Traceback" not in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["check-cert", "--cert"], '{"space": "bhl", "k": %s, "d": 2, "target": []}'),
+    (["reduce", "-k", "3", "--input"], '{"k": %s, "vertices": [], "edges": []}'),
+], ids=["certificate", "diagram"])
+def test_json_integer_too_long_to_read_is_5(tmp_path, argv, text):
+    # json.loads raises a plain ValueError past CPython's 4300-digit limit
+    path = tmp_path / "long.json"
+    path.write_text(text % ("7" * 5000))
+    err = _proc(*argv, str(path), expect=5).stderr
+    assert err.startswith("parse error: not valid JSON: ") and "4300" in err, err
     assert "Traceback" not in err and err.count("\n") == 1, err
 
 
@@ -589,10 +605,19 @@ def _check(tmp_path, doc, expect, *flags):
     (lambda doc: _with(doc, residual=[{"key": "00", "coeff": "1/0"}]), "'residual'"),
     (lambda doc: _with(doc, space=None), "'space'"),
     (lambda doc: _with(doc, space=["bhl"]), "'space'"),
+    # a coefficient is a string as str(Fraction) writes it; these spellings
+    # of the target's 1 once passed, and the exponent is never computed
+    *((lambda doc, c=c: _with(doc, target=[{**doc["target"][0], "coeff": c}]), "'target'")
+      for c in ("1.0", " 1 ", True, 1)),
+    (lambda doc: _with(doc, combination=[{**doc["combination"][0], "coeff": "1e100000000"},
+                                         *doc["combination"][1:]]), "'combination'"),
+    (lambda doc: _with(doc, residual=[{"key": doc["target"][0]["key"], "coeff": "0e5"}]),
+     "'residual'"),
 ], ids=["empty", "not-object", "no-k", "no-d", "no-target", "no-combination",
         "no-residual", "k-string", "d-negative", "non-hex-key", "no-key",
         "bad-coeff", "relator-not-string", "zero-denominator", "no-space",
-        "space-not-string"])
+        "space-not-string", "coeff-float", "coeff-spaces", "coeff-true", "coeff-int",
+        "coeff-exponent", "residual-coeff-exponent"])
 def test_check_cert_malformed_is_5(tmp_path, cert_k3_d2, change, field):
     err = _check(tmp_path, change(cert_k3_d2[0]), expect=5)
     assert err.startswith("parse error: ") and field in err, err

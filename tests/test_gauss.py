@@ -3,7 +3,12 @@
 Core claims:
     - the fixture links report linking numbers 0, +1, 0
     - PD parsing agrees with hand-written Gauss codes
-    - malformed codes fail with positioned errors
+    - malformed codes fail with positioned errors, which name the line of
+      the file, comments and blank lines counted, in both formats
+    - a PD over strand that could run both ways, or neither, is a
+      ParseError naming its crossing
+    - an integer too long to read, a Gauss crossing id or a PD arc, makes
+      lk exit 5 with one stderr line that names its line
     - reversing a component negates its row and column
     - every move type preserves the linking matrix (fuzzed), and every one
       of the six fires
@@ -143,6 +148,40 @@ def test_pd_parse_error_bad_arc():
         parse_pd("X[1,2,3,4]\nX[1,2,3,4]\ncomponent: 1 2 3 4\n")
 
 
+def test_parse_errors_name_the_file_line():
+    # a comment and a blank line come first in both formats
+    with pytest.raises(ParseError, match=r"^line 4, token 2: "):
+        parse_gauss("# two components\n\n+1^o\n+1^u junk\n")
+    with pytest.raises(ParseError, match=r"^line 4: expected X"):
+        parse_pd("# hopf\n\nX[1,4,2,3]\nX[4,1,3]\ncomponent: 1 2\ncomponent: 3 4\n")
+
+
+def test_pd_over_strand_orientation_errors():
+    # the over strand of crossing 1 is the two-arc component 2 4, which
+    # runs both ways; then a component of one arc each, which runs neither
+    with pytest.raises(ParseError, match="crossing 1: over strand direction is ambiguous"):
+        parse_pd("X[1,2,3,4]\ncomponent: 1 3\ncomponent: 2 4\n")
+    with pytest.raises(ParseError, match="crossing 1: cannot orient over strand"):
+        parse_pd("X[1,2,3,4]\ncomponent: 1 3\ncomponent: 2\ncomponent: 4\n")
+
+
+LONG = "7" * 5000       # past CPython's 4300-digit limit on int()
+
+
+@pytest.mark.parametrize("flag, text, where", [
+    ((), f"+{LONG}^o\n+{LONG}^u\n", "line 1, token 1"),
+    ((), f"# a kink\n\n+1^o +{LONG}^u\n", "line 3, token 2"),
+    (("--pd",), f"# hopf\nX[1,4,2,{LONG}]\nX[4,1,3,2]\ncomponent: 1 2\ncomponent: 3 4\n",
+     "line 2"),
+], ids=["gauss", "gauss-after-comment", "pd"])
+def test_lk_integer_too_long_to_read_is_5(tmp_path, capsys, flag, text, where):
+    path = tmp_path / "link.txt"
+    path.write_text(text)
+    assert cli.main(["lk", "--input", str(path), *flag]) == 5
+    err = capsys.readouterr().err
+    assert err == f"parse error: {where}: integer of 5000 digits is too long to read\n", err
+
+
 # -- Reversal --------------------------------------------------------------------
 
 def test_reverse_component_negates_row_and_column():
@@ -201,13 +240,6 @@ def test_component_of_matches_a_scan(name, seed):
             scan = tuple(ci for ci, comp in enumerate(L.components) for c, _ in comp if c == cid)
             assert L.component_of(cid) == scan
             assert L.is_self_crossing(cid) == (scan[0] == scan[1])
-
-
-def test_move_accepts_int_seed():
-    L = _load("hopf.gauss")
-    out, move = random_homotopy_move(L, 5)
-    assert isinstance(out, GaussLink)
-    assert isinstance(move, str)
 
 
 # Links walked by the pinned move stream: the three fixtures, and two links
@@ -290,5 +322,5 @@ def test_token_soups_parse_or_raise_parse_error(case, seed):
         linking_matrix(L)
     except ParseError:
         return
-    out, _ = random_homotopy_move(L, seed)
+    out, _ = random_homotopy_move(L, random.Random(seed))
     assert isinstance(out, GaussLink)

@@ -24,8 +24,9 @@ Core claims:
       one degree-3 relator is checked term by term against a hand computation
     - 4T relators, placed by one gather and one translate, equal the
       point-by-point oracle kept here at every key and endpoint up to d = 5,
-      whose first term is the key with sign +1; modulo 1T they are the same
-      relators with the keys that have an isolated chord dropped
+      whose first term is the key with sign +1; modulo 1T, the sites the
+      chord quotient reads are the same sites with the keys that have an
+      isolated chord dropped, and the oracle's terms so dropped
     - 1T relators are supported on diagrams with an isolated chord
     - STU and link1 relators stay inside their degree's bounded basis
     - count_segments, the oracle for spaces.reduce_to_monomials, counts
@@ -62,6 +63,7 @@ from linkhom.relators import (
     _graft,
     _interesting_graft,
     four_t_relators,
+    four_t_sites,
     ihx_relators,
     link1_relators,
     one_t_relators,
@@ -460,8 +462,6 @@ def test_4t_relators_match_the_oracle(d):
             if key[2 + p] == (p + 1) % (2 * d):     # p and p+1 are one chord
                 with pytest.raises(DiagramError):
                     four_t_terms_oracle(key, p)
-                with pytest.raises(DiagramError):
-                    four_t_relator(key, p)
                 continue
             terms = four_t_terms_oracle(key, p)
             # the before-q placement is the key itself, so it is not keyed
@@ -469,15 +469,21 @@ def test_4t_relators_match_the_oracle(d):
             assert four_t_relator(key, p) == Relator(f"4t:{key.hex()}:{p}", LinComb(terms))
 
 
+def mod_1t(r: Relator) -> Relator:
+    """r with the terms on keys that have an isolated chord dropped."""
+    return Relator(r.rid, LinComb((key, c) for key, c in r.element.items()
+                                  if not has_isolated_chord(key[2:])))
+
+
 @pytest.mark.parametrize("d", range(6))
 def test_4t_relators_mod_1t_drop_the_1t_keys(d):
+    # the sites four_t_span reads with mod_1t, against the full ones
     basis = enum_chord(d)
-    full = list(four_t_relators(basis))
-    quotient = list(four_t_relators(basis, mod_1t=True))
-    assert [r.rid for r in quotient] == [r.rid for r in full]
-    for r, q in zip(full, quotient):
-        assert q.element == LinComb((key, c) for key, c in r.element.items()
-                                    if not has_isolated_chord(key[2:]))
+    full = list(four_t_sites(basis, False, bytes))
+    quotient = list(four_t_sites(basis, True, bytes))
+    assert [site[:2] for site in quotient] == [site[:2] for site in full]
+    for (key, p, terms), (_, _, kept) in zip(full, quotient):
+        assert kept == {t: c for t, c in terms.items() if not has_isolated_chord(t[2:])}, (key, p)
 
 
 @pytest.mark.parametrize("d", range(7))
@@ -490,7 +496,7 @@ def test_4t_relators_mod_1t_match_the_oracle(d):
                          if not has_isolated_chord(k[2:])]
                 want.append(Relator(f"4t:{key.hex()}:{p}", LinComb(terms)))
     basis = enum_chord(d)
-    got = list(four_t_relators(basis, mod_1t=True))
+    got = [mod_1t(r) for r in four_t_relators(basis)]
     assert got == want
     # every term is the basis's own key object, not a fresh copy
     own = {id(key) for key in basis}

@@ -51,8 +51,9 @@ Core claims:
       only a representative, has the basis size, relator counts and rank
       of its sorted representative: the colors' permutations carry content
       blocks onto each other
-    - the whole cell taken as one block, by contents with bare colors,
-      gives the whole-cell report
+    - at k <= 4, d <= 3, every content block of every support block, each
+      taken once with C(k, m) for its support and no orbit weight, sums to
+      the whole-cell report
     - the f(6,6) bhl block has basis 78885, rank 63770 and dimension 15115,
       the multigraph count: the main statement holds there
 """
@@ -97,7 +98,7 @@ from linkhom.spaces import (
     verify_main_theorem,
 )
 from test_diagrams import _relabel, disjoint_union
-from test_relators import count_segments, oracle_relators
+from test_relators import count_segments, mod_1t, oracle_relators
 
 
 def polynomial_dimension(k: int, d: int) -> int:
@@ -265,7 +266,7 @@ def test_multigraph_oracle_values():
 def test_content_dim_counts_multigraphs_of_its_degree_sequence(k, d):
     for m in range(min(k, 2 * d) + 1):
         reps = {tuple(sorted(c, reverse=True)) for c in block_contents(m, d)}
-        orbits = dict(_contents(m, d, 1))
+        orbits = dict(_contents(m, d))
         assert set(orbits) <= reps, (m, d)
         for content in sorted(reps):
             want = multigraphs_with_degrees(content) if sum(content) == 2 * d else 0
@@ -293,7 +294,17 @@ def test_every_content_has_the_sizes_of_its_representative(space, m, d):
 @pytest.mark.parametrize("space", ["bhsl", "bhl"])
 @pytest.mark.parametrize("k,d", [(k, d) for k in range(1, 5) for d in range(4)])
 def test_whole_cell_block_by_contents_matches_the_whole_cell(space, k, d):
-    assert dim_block(space, k, d).to_doc() == whole_cell_doc(space, k, d)
+    # every content of every support block once, with no representative
+    # or orbit: C(k, m) times the content blocks of support exactly 1..m
+    basis, rank, counts = 0, 0, dict.fromkeys(_relators_for(space, ()), 0)
+    for m in range(min(k, 2 * d) + 1):
+        for content in block_contents(m, d):
+            part = dim_content(space, k, d, content)
+            basis, rank = basis + comb(k, m) * part.basis_size, rank + comb(k, m) * part.rank
+            for name, count in part.relator_counts.items():
+                counts[name] += comb(k, m) * count
+    assert {"space": space, "k": k, "d": d, "basis": basis, "relators": counts,
+            "rank": rank, "dim": basis - rank} == whole_cell_doc(space, k, d)
 
 
 def test_f66_block_satisfies_the_main_statement():
@@ -334,7 +345,7 @@ def test_quotient_four_t_span_is_every_4t_relator_mod_1t(d):
     # the chord quotient's span makes rows at the keys with no isolated
     # chord only; every 4T relator modulo 1T, at every key, is the oracle
     span, keys, count = four_t_span(d, mod_1t=True)
-    relators = list(four_t_relators(keys, mod_1t=True))
+    relators = [mod_1t(r) for r in four_t_relators(keys)]
     assert count == len(relators), d
     assert span.rank() == relator_matrix(span.columns, relators).rank(), d
     at_columns = set()
